@@ -95,7 +95,7 @@ fn bench_spmv(c: &mut Criterion) {
 }
 
 fn bench_spmm(c: &mut Criterion) {
-    let graph = graphs::spmm(sam_core::kernels::spmm::SpmmDataflow::LinearCombination);
+    let graph = graphs::spmm(sam_core::graphs::SpmmDataflow::LinearCombination);
     let b = synth::random_matrix_sparsity(120, 80, 0.95, 43);
     let m = synth::random_matrix_sparsity(80, 120, 0.95, 44);
     let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &m, TensorFormat::dcsr());
@@ -292,7 +292,7 @@ fn bench_compiled_skip_ablation(c: &mut Criterion) {
 /// within 10% of `fast` and the NullSink run within noise of it, inside
 /// the same benchmark run — no baseline needed.
 fn bench_trace_overhead(c: &mut Criterion) {
-    let graph = graphs::spmm(sam_core::kernels::spmm::SpmmDataflow::LinearCombination);
+    let graph = graphs::spmm(sam_core::graphs::SpmmDataflow::LinearCombination);
     let b = synth::random_matrix_sparsity(300, 250, 0.95, 72);
     let m = synth::random_matrix_sparsity(250, 300, 0.95, 73);
     let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &m, TensorFormat::dcsr());

@@ -1,8 +1,4 @@
-//! Regenerates Figure 13 (vector multiply acceleration structures) with the
-//! hand-scheduled kernels, then replays the coordinate and dense
-//! configurations through the `sam-exec` graph pipeline.
+//! Regenerates Figure 13 (vector multiply acceleration structures).
 fn main() {
     print!("{}", sam_bench::figure13_report(2000));
-    println!();
-    print!("{}", sam_bench::figure13_exec_report(2000));
 }

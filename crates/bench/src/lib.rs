@@ -15,21 +15,27 @@
 //! | Figure 15 | [`figure15_report`] | `fig15` |
 //! | Section 3.8 stream analysis | [`stream_analysis_report`] | `stream_analysis` |
 //! | Executor cross-check | [`executor_report`] | `table1` |
-//! | Figure 13 via the executor | [`figure13_exec_report`] | `fig13` |
+//!
+//! Every figure runs the one graph of its dataflow — a `sam_core::graphs`
+//! catalog graph or a Custard-compiled kernel — on the cycle backend
+//! through [`ExecRequest`]. The one exception is Figure 13's bitvector
+//! columns, which have no IR form; see [`bitvector`].
+
+pub mod bitvector;
 
 use custard::{
     ablation_study, lower, lower_exec, parse, ConcreteIndexNotation, ExpressionCorpus, Formats, Schedule,
 };
-use sam_core::graph::SamGraph;
-use sam_core::kernels::identity::identity;
-use sam_core::kernels::sddmm::{sddmm, SddmmVariant};
-use sam_core::kernels::spmm::{spmm_order, SpmmDataflow};
-use sam_core::kernels::vecmul::{vec_elem_mul, VecFormat};
-use sam_exec::{CycleBackend, ExecRequest, Executor, FastBackend, Inputs, Plan, TiledBackend};
+use sam_core::graph::{NodeKind, SamGraph};
+use sam_core::graphs::{self, SpmmDataflow};
+use sam_exec::{
+    BackendSpec, CountersSink, CycleBackend, ExecRequest, Execution, FastBackend, Inputs, TiledBackend,
+};
 use sam_memory::{compare_with_model, figure15_sweep, model_tiled_spmm, MemoryConfig, MemoryCounters};
 use sam_streams::analysis::{
     break_even_nnz_per_row, compare_encodings, MatrixShapeStats, WORST_CASE_CONTROL_FRACTION,
 };
+use sam_streams::TokenStats;
 use sam_tensor::expr::table1;
 use sam_tensor::reference::Environment;
 use sam_tensor::suitesparse::table3_catalog;
@@ -231,12 +237,19 @@ fn expression_cases(dim: usize) -> Vec<Case> {
 /// graph with its operands bound, returning the graph and inputs ready for
 /// any backend.
 fn lower_case(name: &str, text: &str, operands: &[(&'static str, CooTensor)]) -> (SamGraph, Inputs) {
-    let assignment = parse(text).expect("valid expression");
     let schedule = if name == "SpM*SpM" { Schedule::new().reorder("ikj") } else { Schedule::new() };
-    let cin = ConcreteIndexNotation::new(assignment, &schedule, Formats::new());
+    let operands: Vec<(&str, &CooTensor)> = operands.iter().map(|(n, coo)| (*n, coo)).collect();
+    compile_bound(text, &schedule, &operands)
+}
+
+/// Compiles `text` under `schedule` with Custard (default compressed
+/// formats) and binds `operands` in the formats it derives.
+fn compile_bound(text: &str, schedule: &Schedule, operands: &[(&str, &CooTensor)]) -> (SamGraph, Inputs) {
+    let assignment = parse(text).expect("valid expression");
+    let cin = ConcreteIndexNotation::new(assignment, schedule, Formats::new());
     let kernel = lower_exec(&cin).expect("executable lowering");
     let mut inputs = Inputs::new();
-    for (op_name, coo) in operands {
+    for &(op_name, coo) in operands {
         // Zero-index scalar operands carry no derived storage format; they
         // bind as single-value vectors. Indexed operands missing from the
         // derived formats are a wiring typo and panic.
@@ -277,7 +290,6 @@ pub const PROFILE_KERNELS: &[&str] =
 /// Looks up a named catalog kernel (see [`PROFILE_KERNELS`]) and binds its
 /// standard synthetic operands. `None` for names outside the set.
 pub fn kernel_case(name: &str) -> Option<(SamGraph, Inputs)> {
-    use sam_core::graphs;
     // The skew pair: an 80%-dense 400x2000 matrix co-iterated against a
     // 12-nonzero vector (the exec_backends `skip_skew` operands).
     let skew = || {
@@ -327,7 +339,7 @@ pub fn kernel_case(name: &str) -> Option<(SamGraph, Inputs)> {
             )
         }
         "spmm" => (
-            sam_core::graphs::spmm(SpmmDataflow::LinearCombination),
+            graphs::spmm(SpmmDataflow::LinearCombination),
             Inputs::new()
                 .coo("B", &synth::random_matrix_sparsity(128, 128, 0.9, 26), TensorFormat::dcsr())
                 .coo("C", &synth::random_matrix_sparsity(128, 128, 0.9, 27), TensorFormat::dcsr()),
@@ -353,8 +365,7 @@ pub fn kernel_case(name: &str) -> Option<(SamGraph, Inputs)> {
 /// Every hand-written kernel of `sam_core::graphs`, by display name — the
 /// structural lint sweep `samlint --all` walks this.
 pub fn graph_catalog() -> Vec<(&'static str, SamGraph)> {
-    use sam_core::graphs;
-    use sam_core::kernels::spmm::SpmmDataflow as D;
+    use SpmmDataflow as D;
     vec![
         ("vec_elem_mul(dense)", graphs::vec_elem_mul(false)),
         ("vec_elem_mul(compressed)", graphs::vec_elem_mul(true)),
@@ -374,6 +385,7 @@ pub fn graph_catalog() -> Vec<(&'static str, SamGraph)> {
         ("plus3", graphs::plus3()),
         ("sddmm_coiteration", graphs::sddmm_coiteration()),
         ("sddmm_with_skip", graphs::sddmm_with_skip()),
+        ("sddmm_locating", graphs::sddmm_locating()),
     ]
 }
 
@@ -420,43 +432,6 @@ pub fn executor_report(scale: usize) -> String {
     out
 }
 
-/// Figure 13 through the executor: the element-wise vector multiply graph
-/// (one per storage configuration) planned once per data point and run on
-/// both backends across a sparsity sweep. Backend disagreements are
-/// reported in the `match` column rather than aborting the sweep.
-pub fn figure13_exec_report(dim: usize) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 13 (executor): x(i) = b(i) * c(i) as one graph on two backends\n");
-    out.push_str(&format!(
-        "{:>10} {:>8} {:>14} {:>14} {:>14} {:>14} {:>8}\n",
-        "nnz", "format", "cycles", "tokens", "cycle time", "fast time", "match"
-    ));
-    let graphs =
-        [(true, sam_core::graphs::vec_elem_mul(true)), (false, sam_core::graphs::vec_elem_mul(false))];
-    for nnz in [20usize, 50, 100, 200, 400, 800].into_iter().filter(|n| 2 * n <= dim) {
-        let b = synth::random_vector(dim, nnz, 61);
-        let c = synth::random_vector(dim, nnz, 62);
-        for (compressed, graph) in &graphs {
-            let fmt = if *compressed { TensorFormat::sparse_vec() } else { TensorFormat::dense_vec() };
-            let inputs = Inputs::new().coo("b", &b, fmt.clone()).coo("c", &c, fmt);
-            let plan = Plan::build(graph, &inputs).expect("plan");
-            let cycle = CycleBackend::default().run(&plan, &inputs).expect("cycle run");
-            let fast = FastBackend::serial().run(&plan, &inputs).expect("fast run");
-            out.push_str(&format!(
-                "{:>10} {:>8} {:>14} {:>14} {:>14} {:>14} {:>8}\n",
-                nnz,
-                if *compressed { "Crd" } else { "Dense" },
-                cycle.cycles.expect("cycles"),
-                fast.tokens,
-                format!("{:.2?}", cycle.elapsed),
-                format!("{:.2?}", fast.elapsed),
-                if cycle.output == fast.output { "yes" } else { "NO" },
-            ));
-        }
-    }
-    out
-}
-
 /// Table 2: expressions lost when a SAM primitive is removed, over the
 /// synthetic expression corpus.
 pub fn table2_report() -> String {
@@ -481,6 +456,195 @@ pub fn table2_report() -> String {
     out
 }
 
+/// Runs `graph` over `inputs` on the cycle backend.
+fn run_cycle(graph: &SamGraph, inputs: &Inputs) -> Execution {
+    ExecRequest::new(graph, inputs).backend(BackendSpec::Cycle).run().expect("cycle run")
+}
+
+/// The cycles of a cycle-backend run.
+fn cycles(run: &Execution) -> u64 {
+    run.cycles.expect("the cycle backend reports cycles")
+}
+
+/// A cycle-backend run's result tensor and cycles.
+fn result(run: Execution) -> (Tensor, u64) {
+    let cycles = cycles(&run);
+    (run.output.expect("tensor output"), cycles)
+}
+
+/// The SDDMM algorithm variant (the Figure 11 legend).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SddmmVariant {
+    /// Fused, with the dense factors' outer levels co-iterated against `B`.
+    FusedCoiteration,
+    /// Fused, with `B`'s coordinates located into the dense factors.
+    FusedLocating,
+    /// Unfused: the dense product `T = C * D^T` first, then sampled by `B`.
+    Unfused,
+}
+
+/// SDDMM `X(i,j) = B(i,j) * C(i,k) * D(j,k)` with sparse `B` (I x J) and
+/// dense `C` (I x K), `D` (J x K) as one Figure 11 variant on the cycle
+/// backend: the result and its cycles. Each fused variant is one catalog
+/// graph; the unfused one is two chained Custard kernels,
+/// `T(i,j) = C(i,k) * D(j,k)` and then `X(i,j) = B(i,j) * T(i,j)`, and
+/// reports the sum of their cycles.
+pub fn sddmm(b: &CooTensor, c: &CooTensor, d: &CooTensor, variant: SddmmVariant) -> (Tensor, u64) {
+    let fused = |graph: SamGraph| {
+        let inputs = Inputs::new().coo("B", b, TensorFormat::dcsr()).coo("C", c, TensorFormat::dense(2)).coo(
+            "D",
+            d,
+            TensorFormat::dense(2),
+        );
+        result(run_cycle(&graph, &inputs))
+    };
+    match variant {
+        SddmmVariant::FusedCoiteration => fused(graphs::sddmm_coiteration()),
+        SddmmVariant::FusedLocating => fused(graphs::sddmm_locating()),
+        SddmmVariant::Unfused => {
+            let (graph, inputs) =
+                compile_bound("T(i,j) = C(i,k) * D(j,k)", &Schedule::new(), &[("C", c), ("D", d)]);
+            let (t, dense_cycles) = result(run_cycle(&graph, &inputs));
+            let (graph, inputs) =
+                compile_bound("X(i,j) = B(i,j) * T(i,j)", &Schedule::new(), &[("B", b), ("T", &t.to_coo())]);
+            let (x, sample_cycles) = result(run_cycle(&graph, &inputs));
+            (x, dense_cycles + sample_cycles)
+        }
+    }
+}
+
+/// SpM*SpM `X(i,j) = B(i,k) * C(k,j)` compiled by Custard in the loop
+/// `order` (one of the six `ijk` permutations) and run on the cycle
+/// backend: the result and its cycles.
+pub fn spmm_order(b: &CooTensor, c: &CooTensor, order: &str) -> (Tensor, u64) {
+    let schedule = Schedule::new().reorder(order);
+    let (graph, inputs) = compile_bound("X(i,j) = B(i,k) * C(k,j)", &schedule, &[("B", b), ("C", c)]);
+    result(run_cycle(&graph, &inputs))
+}
+
+/// The vector storage / acceleration configuration (the Figure 13 legend).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum VecFormat {
+    /// One uncompressed (dense) level.
+    Dense,
+    /// One compressed coordinate level.
+    Crd,
+    /// One compressed coordinate level with coordinate skipping.
+    CrdSkip,
+    /// Two compressed coordinate levels (the vector split into chunks).
+    CrdSplit {
+        /// Number of chunks the dimension is divided into.
+        split: usize,
+    },
+    /// One pseudo-dense bitvector level.
+    Bv {
+        /// Bits per bitvector word.
+        width: u8,
+    },
+    /// Two bitvector levels (a bit-tree).
+    BvSplit {
+        /// Bits per bitvector word.
+        width: u8,
+    },
+}
+
+impl VecFormat {
+    /// The label used in the Figure 13 plots.
+    pub fn label(&self) -> &'static str {
+        match self {
+            VecFormat::Dense => "Dense",
+            VecFormat::Crd => "Crd",
+            VecFormat::CrdSkip => "Crd w/ skip",
+            VecFormat::CrdSplit { .. } => "Crd w/ split",
+            VecFormat::Bv { .. } => "BV",
+            VecFormat::BvSplit { .. } => "BV w/ split",
+        }
+    }
+
+    /// The six configurations studied in Figure 13, with the paper's
+    /// parameters (split factor 64, 64-bit words).
+    pub fn figure13_set() -> Vec<VecFormat> {
+        vec![
+            VecFormat::Crd,
+            VecFormat::Dense,
+            VecFormat::CrdSkip,
+            VecFormat::CrdSplit { split: 64 },
+            VecFormat::BvSplit { width: 64 },
+            VecFormat::Bv { width: 64 },
+        ]
+    }
+}
+
+/// Element-wise multiplication `x(i) = b(i) * c(i)` of two vectors of
+/// dimension `dim` in one Figure 13 configuration: the result and its
+/// cycles. The coordinate and dense configurations run the catalog graph
+/// on the cycle backend. "Crd w/ split" runs the Custard kernel
+/// `X(i,j) = B(i,j) * C(i,j)` on the vectors reshaped to
+/// `split x ceil(dim / split)` and flattens the result back. The bitvector
+/// configurations run the [`bitvector`] kernels.
+pub fn vec_elem_mul(b: &CooTensor, c: &CooTensor, dim: usize, format: VecFormat) -> (Tensor, u64) {
+    let flat = |graph: SamGraph, fmt: TensorFormat| {
+        let inputs = Inputs::new().coo("b", b, fmt.clone()).coo("c", c, fmt);
+        result(run_cycle(&graph, &inputs))
+    };
+    match format {
+        VecFormat::Crd => flat(graphs::vec_elem_mul(true), TensorFormat::sparse_vec()),
+        VecFormat::Dense => flat(graphs::vec_elem_mul(false), TensorFormat::dense_vec()),
+        VecFormat::CrdSkip => flat(graphs::vec_elem_mul_with_skip(true), TensorFormat::sparse_vec()),
+        VecFormat::CrdSplit { split } => {
+            let chunk = dim.div_ceil(split) as u32;
+            let reshape = |v: &CooTensor| {
+                let mut coo = CooTensor::new(vec![split, chunk as usize]);
+                for (p, x) in v.entries() {
+                    coo.push(&[p[0] / chunk, p[0] % chunk], *x).expect("in bounds");
+                }
+                coo
+            };
+            let (b2, c2) = (reshape(b), reshape(c));
+            let (graph, inputs) =
+                compile_bound("X(i,j) = B(i,j) * C(i,j)", &Schedule::new(), &[("B", &b2), ("C", &c2)]);
+            let (x, cycles) = result(run_cycle(&graph, &inputs));
+            let mut flat = CooTensor::new(vec![dim]);
+            for (p, v) in x.points() {
+                flat.push(&[p[0] * chunk + p[1]], v).expect("in bounds");
+            }
+            (Tensor::from_coo("x", &flat, TensorFormat::sparse_vec()), cycles)
+        }
+        VecFormat::Bv { width } => bitvector::vec_elem_mul(b, c, dim, width),
+        VecFormat::BvSplit { width } => bitvector::vec_elem_mul_tree(b, c, dim, width),
+    }
+}
+
+/// Runs the identity graph `X(i,j) = B(i,j)` over DCSR `b` on the cycle
+/// backend and returns the run plus the Figure 14 slot breakdown of its
+/// outer (`scan Bi`) and inner (`scan Bj`) coordinate streams. A scanner's
+/// coordinate and reference outputs carry the same control tokens, so its
+/// coordinate stream holds its coordinates plus half of the scanner's
+/// stop, empty and done tokens; every other cycle is an idle slot.
+pub fn identity_stream_stats(b: &CooTensor) -> (Execution, [TokenStats; 2]) {
+    let graph = graphs::identity();
+    let inputs = Inputs::new().coo("B", b, TensorFormat::dcsr());
+    let sink = CountersSink::new();
+    let run =
+        ExecRequest::new(&graph, &inputs).backend(BackendSpec::Cycle).traced(&sink).run().expect("cycle run");
+    let cycles = cycles(&run);
+    let profile = run.profile.as_ref().expect("traced runs report a profile");
+    let stream = |index: char| {
+        let scanner = graph
+            .nodes()
+            .iter()
+            .position(|n| matches!(n, NodeKind::LevelScanner { index: i, .. } if *i == index))
+            .expect("the identity graph scans both levels of B");
+        let t = profile.nodes.iter().find(|n| n.index == scanner).expect("every node is profiled").tokens;
+        let (stop, empty, done) = (t.stop / 2, t.empty / 2, t.done / 2);
+        let busy = t.crd + stop + empty + done;
+        let idle = cycles.checked_sub(busy).expect("a stream carries at most one token per cycle");
+        TokenStats { non_control: t.crd, stop, empty, done, idle }
+    };
+    let stats = [stream('i'), stream('j')];
+    (run, stats)
+}
+
 /// Figure 11: fused vs. unfused vs. fused-locating SDDMM cycles for
 /// K in {1, 10, 100} on a 95% sparse 250x250 sample matrix.
 pub fn figure11_report(scale: usize) -> String {
@@ -492,9 +656,9 @@ pub fn figure11_report(scale: usize) -> String {
         let b = synth::random_matrix_sparsity(i, j, 0.95, 41);
         let c = synth::dense_matrix(i, k, 42);
         let d = synth::dense_matrix(j, k, 43);
-        let unfused = sddmm(&b, &c, &d, SddmmVariant::Unfused).cycles;
-        let locating = sddmm(&b, &c, &d, SddmmVariant::FusedLocating).cycles;
-        let coiter = sddmm(&b, &c, &d, SddmmVariant::FusedCoiteration).cycles;
+        let [unfused, locating, coiter] =
+            [SddmmVariant::Unfused, SddmmVariant::FusedLocating, SddmmVariant::FusedCoiteration]
+                .map(|v| sddmm(&b, &c, &d, v).1);
         out.push_str(&format!("{:>6} {:>16} {:>16} {:>16}\n", k, unfused, locating, coiter));
     }
     out
@@ -511,8 +675,7 @@ pub fn figure12_report(scale: usize) -> String {
     out.push_str("Figure 12: SpM*SpM cycles per iteration order\n");
     out.push_str(&format!("{:>6} {:>14}\n", "Order", "Cycles"));
     for order in ["ijk", "jik", "ikj", "jki", "kij", "kji"] {
-        let cycles = spmm_order(&b, &c, order).cycles;
-        out.push_str(&format!("{:>6} {:>14}\n", order, cycles));
+        out.push_str(&format!("{:>6} {:>14}\n", order, spmm_order(&b, &c, order).1));
     }
     out
 }
@@ -523,45 +686,43 @@ pub fn figure12_report(scale: usize) -> String {
 pub fn figure13_report(dim: usize) -> String {
     let formats = VecFormat::figure13_set();
     let mut out = String::new();
-    let header = |title: &str| {
-        let mut h = format!("{title}\n{:>10}", "x");
+    let mut section = |title: &str, rows: Vec<(usize, CooTensor, CooTensor)>| {
+        out.push_str(&format!("{title}\n{:>10}", "x"));
         for f in &formats {
-            h.push_str(&format!(" {:>14}", f.label()));
+            out.push_str(&format!(" {:>14}", f.label()));
         }
-        h.push('\n');
-        h
+        out.push('\n');
+        for (x, b, c) in rows {
+            out.push_str(&format!("{:>10}", x));
+            for f in &formats {
+                out.push_str(&format!(" {:>14}", vec_elem_mul(&b, &c, dim, *f).1));
+            }
+            out.push('\n');
+        }
     };
-
-    out.push_str(&header("Figure 13a: cycles vs number of nonzeros (uniform random)"));
-    for nnz in [20usize, 50, 100, 200, 400, 800].into_iter().filter(|n| 2 * n <= dim) {
-        let b = synth::random_vector(dim, nnz, 61);
-        let c = synth::random_vector(dim, nnz, 62);
-        out.push_str(&format!("{:>10}", nnz));
-        for f in &formats {
-            out.push_str(&format!(" {:>14}", vec_elem_mul(&b, &c, dim, *f).cycles));
-        }
-        out.push('\n');
-    }
-
-    out.push_str(&header("Figure 13b: cycles vs run length (runs pattern, 400 nonzeros)"));
-    for run in [1usize, 2, 4, 8, 16, 32, 64, 100] {
-        let (b, c) = synth::runs_vector_pair(dim, 400.min(dim / 4), run, 63);
-        out.push_str(&format!("{:>10}", run));
-        for f in &formats {
-            out.push_str(&format!(" {:>14}", vec_elem_mul(&b, &c, dim, *f).cycles));
-        }
-        out.push('\n');
-    }
-
-    out.push_str(&header("Figure 13c: cycles vs block size (blocks pattern, 400 nonzeros)"));
-    for block in [1usize, 2, 4, 8, 16, 32, 64, 100] {
-        let (b, c) = synth::blocks_vector_pair(dim, 400.min(dim / 4), block, 64);
-        out.push_str(&format!("{:>10}", block));
-        for f in &formats {
-            out.push_str(&format!(" {:>14}", vec_elem_mul(&b, &c, dim, *f).cycles));
-        }
-        out.push('\n');
-    }
+    let nnz_rows = [20usize, 50, 100, 200, 400, 800]
+        .into_iter()
+        .filter(|n| 2 * n <= dim)
+        .map(|nnz| (nnz, synth::random_vector(dim, nnz, 61), synth::random_vector(dim, nnz, 62)))
+        .collect();
+    section("Figure 13a: cycles vs number of nonzeros (uniform random)", nnz_rows);
+    let sweep = [1usize, 2, 4, 8, 16, 32, 64, 100];
+    let run_rows = sweep
+        .iter()
+        .map(|&run| {
+            let (b, c) = synth::runs_vector_pair(dim, 400.min(dim / 4), run, 63);
+            (run, b, c)
+        })
+        .collect();
+    section("Figure 13b: cycles vs run length (runs pattern, 400 nonzeros)", run_rows);
+    let block_rows = sweep
+        .iter()
+        .map(|&block| {
+            let (b, c) = synth::blocks_vector_pair(dim, 400.min(dim / 4), block, 64);
+            (block, b, c)
+        })
+        .collect();
+    section("Figure 13c: cycles vs block size (blocks pattern, 400 nonzeros)", block_rows);
     out
 }
 
@@ -581,10 +742,7 @@ pub fn figure14_report(max_nnz: usize) -> String {
         if info.nnz > max_nnz {
             continue;
         }
-        let coo = info.instantiate(71);
-        let result = identity(&coo);
-        let o = result.outer_stats;
-        let i = result.inner_stats;
+        let (_, [o, i]) = identity_stream_stats(&info.instantiate(71));
         let frac = |n: u64, total: u64| n as f64 / total.max(1) as f64;
         out.push_str(&format!(
             "{:<14} {:>9} | {:>8.3} {:>8.3} {:>8.3} {:>8.3} | {:>8.3} {:>8.3} {:>8.3} {:>8.3}\n",
@@ -632,7 +790,7 @@ pub fn figure15_measured_points(
     nnz_list: &[usize],
     config: &MemoryConfig,
 ) -> Vec<sam_memory::ModelComparison> {
-    let graph = sam_core::graphs::spmm(SpmmDataflow::LinearCombination);
+    let graph = graphs::spmm(SpmmDataflow::LinearCombination);
     let backend = TiledBackend::new(*config);
     let mut out = Vec::new();
     for &nnz in nnz_list {
@@ -711,7 +869,7 @@ pub fn figure15_skipping_study(
     nnz: usize,
     config: &MemoryConfig,
 ) -> (String, MemoryCounters, MemoryCounters) {
-    let graph = sam_core::graphs::spmm(SpmmDataflow::LinearCombination);
+    let graph = graphs::spmm(SpmmDataflow::LinearCombination);
     let b = synth::random_matrix_nnz(dim, dim, nnz, 0x15_0003);
     let c = synth::random_matrix_nnz(dim, dim, nnz, 0x15_0004);
     let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
@@ -796,10 +954,6 @@ mod tests {
         assert!(report.contains("SpM*SpM"));
         assert!(report.contains("yes"));
         assert!(!report.contains(" NO"));
-        let f13 = figure13_exec_report(128);
-        assert!(f13.contains("Crd"));
-        assert!(f13.contains("Dense"));
-        assert!(!f13.contains(" NO"));
     }
 
     #[test]
@@ -829,5 +983,241 @@ mod tests {
         assert!(study.contains("skipping saves"));
         assert!(skip.tiles_skipped > 0, "a sparse sweep must skip tiles");
         assert!(skip.dram_bytes < noskip.dram_bytes, "skipping must cut DRAM traffic");
+    }
+
+    /// The dense reference of `text` over the named COO operands.
+    fn reference(text: &str, operands: &[(&str, &CooTensor)]) -> sam_tensor::DenseTensor {
+        let assignment = parse(text).unwrap();
+        let mut env = Environment::new();
+        for (name, coo) in operands {
+            env.insert(name, Tensor::from_coo(name, coo, TensorFormat::dense(coo.order())).to_dense());
+        }
+        env.bind_dims(&assignment, &[]);
+        env.evaluate(&assignment).unwrap()
+    }
+
+    #[test]
+    fn vecmul_formats_agree_with_oracle() {
+        let dim = 256;
+        let b = synth::random_vector(dim, 50, 1);
+        let c = synth::random_vector(dim, 60, 2);
+        let expect = reference("x(i) = b(i) * c(i)", &[("b", &b), ("c", &c)]);
+        for fmt in VecFormat::figure13_set() {
+            let (x, cycles) = vec_elem_mul(&b, &c, dim, fmt);
+            assert!(x.to_dense().approx_eq(&expect), "format {} disagreed with the reference", fmt.label());
+            assert!(cycles > 0);
+        }
+    }
+
+    #[test]
+    fn skipping_helps_on_runs() {
+        let dim = 2048;
+        let (b, c) = synth::runs_vector_pair(dim, 400, 50, 3);
+        let plain = vec_elem_mul(&b, &c, dim, VecFormat::Crd).1;
+        let skipped = vec_elem_mul(&b, &c, dim, VecFormat::CrdSkip).1;
+        assert!(skipped < plain, "skip {skipped} should beat plain {plain}");
+    }
+
+    #[test]
+    fn dense_costs_track_dimension() {
+        let dim = 512;
+        let b = synth::random_vector(dim, 10, 1);
+        let c = synth::random_vector(dim, 10, 2);
+        let dense = vec_elem_mul(&b, &c, dim, VecFormat::Dense).1;
+        let sparse = vec_elem_mul(&b, &c, dim, VecFormat::Crd).1;
+        assert!(dense > sparse);
+        assert!(dense as usize >= dim);
+    }
+
+    #[test]
+    fn bitvector_cycles_are_word_bound() {
+        let dim = 2048;
+        let b = synth::random_vector(dim, 400, 1);
+        let c = synth::random_vector(dim, 400, 2);
+        // 32 words plus pipeline overhead.
+        let cycles = vec_elem_mul(&b, &c, dim, VecFormat::Bv { width: 64 }).1;
+        assert!(cycles < 200, "cycles = {cycles}");
+    }
+
+    #[test]
+    fn sddmm_variants_match_reference() {
+        let (i, j, k) = (20, 18, 6);
+        let b = synth::random_matrix_sparsity(i, j, 0.9, 1);
+        let c = synth::dense_matrix(i, k, 2);
+        let d = synth::dense_matrix(j, k, 3);
+        let expect = reference("X(i,j) = B(i,j) * C(i,k) * D(j,k)", &[("B", &b), ("C", &c), ("D", &d)]);
+        for variant in [SddmmVariant::FusedLocating, SddmmVariant::FusedCoiteration, SddmmVariant::Unfused] {
+            let (x, _) = sddmm(&b, &c, &d, variant);
+            assert!(x.to_dense().approx_eq(&expect), "{variant:?} disagreed with the reference");
+        }
+    }
+
+    #[test]
+    fn fusion_beats_unfused_on_sparse_samples() {
+        let (i, j, k) = (40, 40, 4);
+        let b = synth::random_matrix_sparsity(i, j, 0.95, 5);
+        let c = synth::dense_matrix(i, k, 6);
+        let d = synth::dense_matrix(j, k, 7);
+        let fused = sddmm(&b, &c, &d, SddmmVariant::FusedLocating).1;
+        let unfused = sddmm(&b, &c, &d, SddmmVariant::Unfused).1;
+        assert!(fused < unfused, "fused ({fused}) should beat unfused ({unfused})");
+    }
+
+    #[test]
+    fn locating_beats_coiteration_for_small_k() {
+        let (i, j, k) = (60, 60, 1);
+        let b = synth::random_matrix_sparsity(i, j, 0.95, 8);
+        let c = synth::dense_matrix(i, k, 9);
+        let d = synth::dense_matrix(j, k, 10);
+        let locating = sddmm(&b, &c, &d, SddmmVariant::FusedLocating).1;
+        let coiter = sddmm(&b, &c, &d, SddmmVariant::FusedCoiteration).1;
+        assert!(locating < coiter, "locating ({locating}) should beat coiteration ({coiter})");
+    }
+
+    /// One SpM*SpM catalog dataflow on the cycle backend, each operand in
+    /// the orientation the dataflow iterates it.
+    fn spmm_dataflow(b: &CooTensor, c: &CooTensor, dataflow: SpmmDataflow) -> (Tensor, u64) {
+        let b_fmt = if dataflow == SpmmDataflow::OuterProduct { TensorFormat::dcsc() } else { TensorFormat::dcsr() };
+        let c_fmt = if dataflow == SpmmDataflow::InnerProduct { TensorFormat::dcsc() } else { TensorFormat::dcsr() };
+        let inputs = Inputs::new().coo("B", b, b_fmt).coo("C", c, c_fmt);
+        result(run_cycle(&graphs::spmm(dataflow), &inputs))
+    }
+
+    #[test]
+    fn spmm_dataflows_match_reference() {
+        let b = synth::random_matrix_sparsity(24, 18, 0.85, 11);
+        let c = synth::random_matrix_sparsity(18, 20, 0.85, 12);
+        let expect = reference("X(i,j) = B(i,k) * C(k,j)", &[("B", &b), ("C", &c)]);
+        for dataflow in
+            [SpmmDataflow::LinearCombination, SpmmDataflow::InnerProduct, SpmmDataflow::OuterProduct]
+        {
+            let (x, cycles) = spmm_dataflow(&b, &c, dataflow);
+            assert!(x.to_dense().approx_eq(&expect), "{} disagreed with the reference", dataflow.label());
+            assert!(cycles > 0);
+        }
+    }
+
+    #[test]
+    fn spmm_orders_match_reference() {
+        let b = synth::random_matrix_sparsity(15, 12, 0.8, 3);
+        let c = synth::random_matrix_sparsity(12, 10, 0.8, 4);
+        let expect = reference("X(i,j) = B(i,k) * C(k,j)", &[("B", &b), ("C", &c)]);
+        for order in ["ijk", "jik", "ikj", "jki", "kij", "kji"] {
+            let (x, _) = spmm_order(&b, &c, order);
+            assert!(x.to_dense().approx_eq(&expect), "order {order} disagreed");
+        }
+    }
+
+    #[test]
+    fn gustavson_beats_inner_product_on_sparse_inputs() {
+        let b = synth::random_matrix_sparsity(60, 40, 0.95, 5);
+        let c = synth::random_matrix_sparsity(40, 60, 0.95, 6);
+        let rows = spmm_dataflow(&b, &c, SpmmDataflow::LinearCombination).1;
+        let inner = spmm_dataflow(&b, &c, SpmmDataflow::InnerProduct).1;
+        assert!(rows < inner, "Gustavson ({rows}) should beat inner product ({inner})");
+    }
+
+    #[test]
+    fn spmv_matches_reference() {
+        let b = synth::random_matrix_sparsity(40, 30, 0.9, 7);
+        let c = synth::random_vector(30, 30, 8); // fully dense vector
+        let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("c", &c, TensorFormat::dense_vec());
+        let graph = graphs::spmv();
+        let (x, cycles) = result(run_cycle(&graph, &inputs));
+        let expect = reference("x(i) = B(i,j) * c(j)", &[("B", &b), ("c", &c)]);
+        assert!(x.to_dense().approx_eq(&expect));
+        assert!(cycles > 0);
+        assert!(graph.len() >= 10);
+    }
+
+    #[test]
+    fn identity_preserves_the_matrix() {
+        let b = synth::random_matrix_sparsity(30, 25, 0.9, 21);
+        let (run, _) = identity_stream_stats(&b);
+        assert!(run.output.unwrap().approx_eq(&Tensor::from_coo("B", &b, TensorFormat::dcsr())));
+    }
+
+    #[test]
+    fn outer_stream_is_mostly_idle() {
+        // Matching the paper's observation: the outer scanner finishes early
+        // and sits idle while the inner level streams its coordinates.
+        let b = synth::random_matrix_sparsity(50, 50, 0.9, 22);
+        let (run, [outer, inner]) = identity_stream_stats(&b);
+        let idle_frac = outer.idle as f64 / outer.total() as f64;
+        assert!(idle_frac > 0.4, "idle fraction {idle_frac}");
+        // The inner stream's control overhead is dominated by stop tokens.
+        assert!(inner.stop >= inner.done);
+        assert_eq!(inner.non_control as usize, run.output.unwrap().nnz());
+    }
+
+    /// Small-scale golden values of the Figure 11/12/13 cycle columns and
+    /// the Figure 14 stream breakdown of one matrix: an exact oracle for
+    /// simulator changes, which must either reproduce these numbers or
+    /// update them and record the delta.
+    #[test]
+    fn figure_cycle_columns_are_pinned() {
+        assert_eq!(
+            figure11_report(10),
+            r"Figure 11: SDDMM cycles (rows: K; columns: algorithm)
+     K          Unfused   Fused locating     Fused coiter
+     1             1697               80              422
+    10             7322              359              423
+   100            63572             3149             3157
+"
+        );
+        assert_eq!(
+            figure12_report(10),
+            r"Figure 12: SpM*SpM cycles per iteration order
+ Order         Cycles
+   ijk            420
+   jik            420
+   ikj            127
+   jki            101
+   kij             53
+   kji             51
+"
+        );
+        assert_eq!(
+            figure13_report(256),
+            r"Figure 13a: cycles vs number of nonzeros (uniform random)
+         x            Crd          Dense    Crd w/ skip   Crd w/ split    BV w/ split             BV
+        20             38            258             38             31              6              7
+        50             89            258             84             75              6              7
+       100            166            258            161            163              6              7
+Figure 13b: cycles vs run length (runs pattern, 400 nonzeros)
+         x            Crd          Dense    Crd w/ skip   Crd w/ split    BV w/ split             BV
+         1            130            258            130            193              6              7
+         2            130            258            129             66              6              7
+         4            130            258            124             34              6              7
+         8            130            258            109             34              6              7
+        16            130            258             66             34              6              7
+        32            130            258             40             34              2              7
+        64            130            258             68             34              2              7
+       100            130            258             68             34              2              7
+Figure 13c: cycles vs block size (blocks pattern, 400 nonzeros)
+         x            Crd          Dense    Crd w/ skip   Crd w/ split    BV w/ split             BV
+         1             66            258             66            129              6              7
+         2             66            258             66             97              6              7
+         4             66            258             66             81              6              7
+         8             66            258             66             81              6              7
+        16             66            258             66             81              6              7
+        32             66            258             66             81              4              7
+        64             66            258             66             81              3              7
+       100             66            258             66             81              3              7
+"
+        );
+        assert_eq!(
+            figure14_report(24),
+            r"Figure 14: identity-expression stream composition (fractions of channel slots)
+Matrix               nnz |   o.idle   o.done   o.stop   o.data |   i.idle   i.done   i.stop   i.data
+relat3                24 |    0.697    0.030    0.030    0.242 |    0.000    0.030    0.242    0.727
+"
+        );
+        let b = synth::random_matrix_sparsity(200, 200, 0.9, 71);
+        let (run, [outer, inner]) = identity_stream_stats(&b);
+        assert_eq!(run.cycles, Some(4201));
+        let slots = |s: TokenStats| [s.non_control, s.stop, s.done, s.idle];
+        assert_eq!(slots(outer), [200, 1, 1, 3999]);
+        assert_eq!(slots(inner), [4000, 200, 1, 0]);
     }
 }

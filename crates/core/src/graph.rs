@@ -93,12 +93,6 @@ pub enum NodeKind {
         /// Whether this writer stores the values array.
         vals: bool,
     },
-    /// A stream parallelizer (Section 4.4).
-    Parallelizer,
-    /// A stream serializer (Section 4.4).
-    Serializer,
-    /// A bitvector converter (Definition 4.2).
-    BitvectorConverter,
 }
 
 impl NodeKind {
@@ -141,9 +135,6 @@ impl NodeKind {
                     format!("write {tensor}{index}")
                 }
             }
-            NodeKind::Parallelizer => "parallelize".to_string(),
-            NodeKind::Serializer => "serialize".to_string(),
-            NodeKind::BitvectorConverter => "bv convert".to_string(),
         }
     }
 
@@ -175,9 +166,6 @@ impl NodeKind {
             NodeKind::LevelWriter { vals, .. } => {
                 vec![if *vals { PortKind::Val } else { PortKind::Crd }]
             }
-            NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => {
-                vec![PortKind::Any]
-            }
         }
     }
 
@@ -206,9 +194,6 @@ impl NodeKind {
             },
             NodeKind::CoordDropper { .. } => vec![PortKind::Crd, PortKind::Any],
             NodeKind::LevelWriter { .. } => vec![],
-            NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => {
-                vec![PortKind::Any]
-            }
         }
     }
 }
@@ -464,11 +449,7 @@ impl SamGraph {
         let mut c = PrimitiveCounts::default();
         for n in &self.nodes {
             match n {
-                NodeKind::Root { .. }
-                | NodeKind::ConstVal { .. }
-                | NodeKind::Parallelizer
-                | NodeKind::Serializer
-                | NodeKind::BitvectorConverter => {}
+                NodeKind::Root { .. } | NodeKind::ConstVal { .. } => {}
                 NodeKind::LevelScanner { .. } => c.level_scan += 1,
                 NodeKind::Repeater { .. } => c.repeat += 1,
                 NodeKind::Intersecter { .. } => c.intersect += 1,

@@ -5,16 +5,33 @@
 //! explicit port wiring, so `sam-exec` can plan and run them on either the
 //! cycle-approximate or the fast functional backend — the same graph, two
 //! execution contexts. Stream fan-out is implicit: connecting one output
-//! port to several consumers makes the `sam-exec` planner insert the fork
-//! that [`crate::wiring::Fork`] provides in hand-wired kernels.
-//!
-//! The hand-scheduled kernels in [`crate::kernels`] remain the
-//! micro-architecturally tuned variants (coordinate skipping, bitvector
-//! lanes); these graphs are their portable, compiler-facing counterparts.
+//! port to several consumers makes the `sam-exec` planner insert a stream
+//! fork (a `Fork` block on the cycle backend).
 
 use crate::build::{GraphBuilder, Port};
 use crate::graph::SamGraph;
-use crate::kernels::spmm::SpmmDataflow;
+
+/// The SpM*SpM dataflow class (index-variable iteration order) of [`spmm`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SpmmDataflow {
+    /// `i -> j -> k`: inner product.
+    InnerProduct,
+    /// `i -> k -> j`: linear combination of rows (Gustavson).
+    LinearCombination,
+    /// `k -> i -> j`: outer product.
+    OuterProduct,
+}
+
+impl SpmmDataflow {
+    /// Human-readable name of the dataflow class.
+    pub fn label(&self) -> &'static str {
+        match self {
+            SpmmDataflow::InnerProduct => "inner product",
+            SpmmDataflow::LinearCombination => "linear combination of rows",
+            SpmmDataflow::OuterProduct => "outer product",
+        }
+    }
+}
 
 /// Adds an intersecter with or without the Section 4.2 coordinate-skip
 /// feedback edges, so each kernel builder exists once and its skip-enabled
@@ -76,8 +93,7 @@ pub fn identity() -> SamGraph {
 }
 
 /// Sparse matrix-vector multiplication `x(i) = sum_j B(i,j) * c(j)` with `B`
-/// DCSR and `c` dense, using the Section 4.2 iterate-locate optimization
-/// exactly like the hand kernel.
+/// DCSR and `c` dense, using the Section 4.2 iterate-locate optimization.
 pub fn spmv() -> SamGraph {
     let mut g = GraphBuilder::new("x(i) = B(i,j) * c(j)");
     let rb = g.root("B");
@@ -134,9 +150,8 @@ fn spmv_coiteration_inner(skip: bool) -> SamGraph {
 }
 
 /// SpM*SpM `X(i,j) = sum_k B(i,k) * C(k,j)` in one of the three Figure 12
-/// dataflow classes. Operand formats follow the hand kernels: `B` is DCSR
-/// (DCSC for the outer-product dataflow), `C` is DCSR (DCSC for the
-/// inner-product dataflow).
+/// dataflow classes. `B` is DCSR (DCSC for the outer-product dataflow), `C`
+/// is DCSR (DCSC for the inner-product dataflow).
 pub fn spmm(dataflow: SpmmDataflow) -> SamGraph {
     match dataflow {
         SpmmDataflow::LinearCombination => spmm_gustavson(false),
@@ -407,20 +422,51 @@ fn sddmm_coiteration_inner(skip: bool) -> SamGraph {
 
     // Broadcast C's row fiber reference over the surviving j coordinates.
     let c_per_j = g.repeat("C", 'j', j_crd, i_refs[1]);
+    sddmm_tail(g, [i_crd, j_crd], c_per_j, j_refs[1], j_refs[0])
+}
 
-    // Inner product over k, then scale by B's values.
-    let (ck_crd, ck_ref) = g.scan("C", 'k', false, c_per_j);
-    let (dk_crd, dk_ref) = g.scan("D", 'k', false, j_refs[1]);
+/// Fused SDDMM `X(i,j) = sum_k B(i,j) * C(i,k) * D(j,k)` with `B`'s
+/// coordinates located straight into the dense factors' outer levels
+/// (Figure 11's fused locating variant, Section 4.2): no dense outer scans
+/// and no outer intersections. `B` is DCSR; `C` and `D` are dense.
+pub fn sddmm_locating() -> SamGraph {
+    let mut g = GraphBuilder::new("X(i,j) = B(i,j) * C(i,k) * D(j,k) [locate]");
+    let rb = g.root("B");
+    let (bi_crd, bi_ref) = g.scan("B", 'i', true, rb);
+    let (bj_crd, bj_ref) = g.scan("B", 'j', true, bi_ref);
+
+    // Locate each B row coordinate into C's i level, then broadcast that
+    // row fiber over the row's column coordinates.
+    let rc = g.root("C");
+    let c_per_i = g.repeat("C", 'i', bi_crd, rc);
+    let (i_crd, _ci_pass, c_row) = g.locate("C", 'i', bi_crd, c_per_i);
+    let c_per_j = g.repeat("C", 'j', bj_crd, c_row);
+
+    // Locate each B column coordinate into D's j level. The locators pass
+    // their coordinates through to the output writers.
+    let rd = g.root("D");
+    let d_per_i = g.repeat("D", 'i', bi_crd, rd);
+    let d_per_j = g.repeat("D", 'j', bj_crd, d_per_i);
+    let (j_crd, _dj_pass, d_row) = g.locate("D", 'j', bj_crd, d_per_j);
+    sddmm_tail(g, [i_crd, j_crd], c_per_j, d_row, bj_ref)
+}
+
+/// The shared tail of both fused SDDMM graphs: given per-`(i,j)` fiber
+/// references into `C`'s and `D`'s `k` levels, take their inner product
+/// over `k`, scale it by `B`'s value and write `X`.
+fn sddmm_tail(mut g: GraphBuilder, x_crd: [Port; 2], c_k: Port, d_k: Port, b_ref: Port) -> SamGraph {
+    let (ck_crd, ck_ref) = g.scan("C", 'k', false, c_k);
+    let (dk_crd, dk_ref) = g.scan("D", 'k', false, d_k);
     let (_k_crd, k_refs) = g.intersect('k', [ck_crd, dk_crd], [ck_ref, dk_ref]);
     let c_vals = g.array("C", k_refs[0]);
     let d_vals = g.array("D", k_refs[1]);
     let prod_cd = g.alu("mul", c_vals, d_vals);
     let s = g.reduce_scalar(prod_cd);
-    let b_vals = g.array("B", j_refs[0]);
+    let b_vals = g.array("B", b_ref);
     let x_vals = g.alu("mul", b_vals, s);
 
-    g.write_level("X", 'i', i_crd);
-    g.write_level("X", 'j', j_crd);
+    g.write_level("X", 'i', x_crd[0]);
+    g.write_level("X", 'j', x_crd[1]);
     g.write_vals("X", x_vals);
     g.finish()
 }
@@ -445,6 +491,7 @@ mod tests {
             spmm_with_skip(SpmmDataflow::LinearCombination),
             sddmm_coiteration(),
             sddmm_with_skip(),
+            sddmm_locating(),
             mttkrp(),
             residual(),
             mat_trans_mul(),

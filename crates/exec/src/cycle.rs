@@ -6,17 +6,61 @@ use crate::error::ExecError;
 use crate::plan::{Plan, DEFAULT_MAX_CYCLES};
 use crate::{assemble_output, reducer_policy, Execution, Executor};
 use sam_core::graph::NodeKind;
-use sam_core::wiring::Fork;
 use sam_primitives::writer::{level_sink, val_sink, LevelWriterSink, ValWriterSink};
 use sam_primitives::{
     root_stream, Alu, ConstVal, CoordDropper, Intersecter, LevelScanner, LevelWriter, Locator, Reducer,
     Repeater, Unioner, ValArray, ValWriter,
 };
-use sam_sim::{ChannelId, Simulator};
+use sam_sim::{Block, BlockStatus, ChannelId, Context, Simulator};
+use sam_streams::Token;
 use sam_trace::{NullSink, TokenCounts, TraceSink};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Copies every token of its input to each of its outputs: the block a
+/// planned stream fork (one output port, several consumers) lowers onto.
+#[derive(Debug)]
+struct Fork {
+    name: String,
+    input: ChannelId,
+    outputs: Vec<ChannelId>,
+    done: bool,
+}
+
+impl Fork {
+    fn new(name: impl Into<String>, input: ChannelId, outputs: Vec<ChannelId>) -> Self {
+        Fork { name: name.into(), input, outputs, done: false }
+    }
+}
+
+impl Block for Fork {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
+        if self.done {
+            return BlockStatus::Done;
+        }
+        if self.outputs.iter().any(|o| !ctx.can_push(*o)) {
+            return BlockStatus::Busy;
+        }
+        let Some(t) = ctx.peek(self.input).cloned() else {
+            return BlockStatus::Busy;
+        };
+        ctx.pop(self.input);
+        for &o in &self.outputs {
+            ctx.push(o, t);
+        }
+        if matches!(t, Token::Done) {
+            self.done = true;
+            BlockStatus::Done
+        } else {
+            BlockStatus::Busy
+        }
+    }
+}
 
 /// Runs plans on the cycle-approximate simulator, reporting cycle counts.
 #[derive(Debug, Clone, Copy)]
@@ -236,9 +280,6 @@ impl Executor for CycleBackend {
                         level_sinks.insert(id.0, sink);
                     }
                 }
-                NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => {
-                    unreachable!("rejected during planning")
-                }
             }
         }
 
@@ -299,5 +340,26 @@ impl Executor for CycleBackend {
             elapsed: start.elapsed(),
             profile: trace.snapshot(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sam_sim::payload::tok;
+
+    #[test]
+    fn fork_duplicates_streams() {
+        let mut sim = Simulator::new();
+        let a = sim.add_channel("a");
+        let b = sim.add_channel("b");
+        let c = sim.add_channel("c");
+        sim.add_block(Box::new(Fork::new("f", a, vec![b, c])));
+        sim.record(b);
+        sim.record(c);
+        sim.preload(a, vec![tok::crd(1), tok::stop(0), tok::done()]);
+        sim.run(100).unwrap();
+        assert_eq!(sim.history(b), sim.history(c));
+        assert_eq!(sim.history(b).len(), 3);
     }
 }

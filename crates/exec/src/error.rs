@@ -11,15 +11,6 @@ use std::fmt;
 /// panics or deadlocks.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
-    /// The graph contains a primitive the executor cannot run.
-    UnsupportedNode {
-        /// Index of the offending node within the graph.
-        node: usize,
-        /// Label of the offending node.
-        label: String,
-        /// The unsupported primitive kind (the label sans per-node detail).
-        kind: String,
-    },
     /// A coordinate-skip feedback edge is wired incorrectly.
     BadSkipEdge {
         /// Label of the offending edge.
@@ -145,9 +136,6 @@ pub enum PlanError {
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlanError::UnsupportedNode { node, label, kind } => {
-                write!(f, "node n{node} (`{label}`) is not executable: `{kind}` is unsupported")
-            }
             PlanError::BadSkipEdge { edge, reason } => {
                 write!(f, "skip edge `{edge}` is wired incorrectly: {reason}")
             }

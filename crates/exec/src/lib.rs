@@ -1,15 +1,16 @@
 //! # sam-exec
 //!
-//! A graph-driven execution engine that runs any [`SamGraph`] end-to-end —
-//! whether hand-built through `sam_core::build::GraphBuilder`, taken from
-//! the `sam_core::graphs` kernel catalog, or compiled from tensor index
+//! A graph-driven execution engine that runs any
+//! [`SamGraph`](sam_core::graph::SamGraph) end-to-end — whether hand-built
+//! through `sam_core::build::GraphBuilder`, taken from the
+//! `sam_core::graphs` kernel catalog, or compiled from tensor index
 //! notation by `custard::lower_exec`.
 //!
 //! The crate has two halves:
 //!
 //! * a **planner** ([`Plan`]) that topologically orders the graph, resolves
-//!   every edge to producer/consumer ports, plans the stream forks that
-//!   hand-wired kernels insert manually, binds tensor inputs by name and
+//!   every edge to producer/consumer ports, plans the stream forks where
+//!   one output feeds several consumers, binds tensor inputs by name and
 //!   validates the whole configuration up front, and
 //! * three **backends** behind one [`Executor`] trait:
 //!   [`CycleBackend`] instantiates `sam-primitives` blocks into the
@@ -83,7 +84,7 @@
 //!
 //! ```
 //! use sam_core::graphs;
-//! use sam_core::kernels::spmm::SpmmDataflow;
+//! use sam_core::graphs::SpmmDataflow;
 //! use sam_exec::{BackendSpec, ExecRequest, Executor, FastBackend, Inputs, Parallelism};
 //! use sam_tensor::{synth, TensorFormat};
 //!
@@ -159,10 +160,9 @@ pub use spec::{BackendSpec, ParseBackendError};
 pub use steal::{StealPool, WorkerStats};
 pub use tiled::TiledBackend;
 
-use sam_core::graph::SamGraph;
 use sam_primitives::EmptyFiberPolicy;
 use sam_tensor::level::{CompressedLevel, Level};
-use sam_tensor::{Tensor, TensorFormat};
+use sam_tensor::{LevelFormat, Tensor, TensorFormat};
 use std::time::Duration;
 
 /// The outcome of executing a planned graph on one backend.
@@ -264,21 +264,6 @@ pub trait Executor {
     }
 }
 
-/// Plans `graph` over `inputs` and runs it on `backend` in one call.
-///
-/// Deprecated shim over the [`ExecRequest`] door (which additionally plans
-/// through the global [`PlanCache`], selects backends by [`BackendSpec`],
-/// and carries tracing and memory options).
-///
-/// # Errors
-///
-/// Returns any planning or execution error; see [`Plan::build`] and
-/// [`Executor::run`].
-#[deprecated(note = "use ExecRequest::new(graph, inputs).executor(backend).run()")]
-pub fn execute(graph: &SamGraph, inputs: &Inputs, backend: &dyn Executor) -> Result<Execution, ExecError> {
-    ExecRequest::new(graph, inputs).executor(backend).run()
-}
-
 /// The accumulation policy the executor assigns to a reducer of the given
 /// order: scalar reducers emit explicit zeros so their value streams stay
 /// aligned with the outer coordinate streams feeding the writers; vector
@@ -291,8 +276,9 @@ pub(crate) fn reducer_policy(order: usize) -> EmptyFiberPolicy {
     }
 }
 
-/// Assembles the output tensor from the written levels and values. Both
-/// backends share this, so their outputs are structurally identical.
+/// Assembles the output tensor from the written levels (outermost first)
+/// and values, stored in the plan's output mode order. Every backend shares
+/// this, so their outputs are structurally identical.
 pub(crate) fn assemble_output(
     plan: &Plan,
     levels: Vec<CompressedLevel>,
@@ -305,11 +291,13 @@ pub(crate) fn assemble_output(
     if vals.len() != expected {
         return Err(ExecError::Misaligned { label: "output assembly".to_string() });
     }
-    let order = levels.len();
     Ok(Some(Tensor::from_parts(
         plan.output_name(),
         plan.output_shape().to_vec(),
-        TensorFormat::csf(order),
+        TensorFormat::with_mode_order(
+            vec![LevelFormat::Compressed; levels.len()],
+            plan.output_mode_order().to_vec(),
+        ),
         levels.into_iter().map(Level::Compressed).collect(),
         vals.to_vec(),
     )))
@@ -319,7 +307,7 @@ pub(crate) fn assemble_output(
 mod tests {
     use super::*;
     use sam_core::graphs;
-    use sam_core::kernels::spmm::SpmmDataflow;
+    use sam_core::graphs::SpmmDataflow;
     use sam_tensor::reference::Environment;
     use sam_tensor::{expr::table1, synth, TensorFormat};
 
@@ -364,6 +352,24 @@ mod tests {
             let run = ExecRequest::new(&graph, &inputs).executor(backend).run().unwrap();
             assert!(run.output.unwrap().to_dense().approx_eq(&expect), "{} backend diverged", backend.name());
         }
+    }
+
+    #[test]
+    fn spmv_handles_empty_rows() {
+        // Only two rows are populated; DCSR skips the rest.
+        let b = sam_tensor::CooTensor::from_entries(
+            vec![6, 4],
+            vec![(vec![1, 0], 2.0), (vec![1, 3], 3.0), (vec![4, 2], 5.0)],
+        )
+        .unwrap();
+        let c = synth::random_vector(4, 4, 1);
+        let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("c", &c, TensorFormat::dense_vec());
+        let run = ExecRequest::new(&graphs::spmv(), &inputs).backend(BackendSpec::Cycle).run().unwrap();
+        let dense_c = Tensor::from_coo("c", &c, TensorFormat::dense_vec()).to_dense();
+        let x = run.output.unwrap().to_dense();
+        assert!((x.at(&[1]) - (2.0 * dense_c.at(&[0]) + 3.0 * dense_c.at(&[3]))).abs() < 1e-9);
+        assert!((x.at(&[4]) - 5.0 * dense_c.at(&[2])).abs() < 1e-9);
+        assert_eq!(x.at(&[0]), 0.0);
     }
 
     #[test]

@@ -231,9 +231,6 @@ pub(crate) fn eval_node<S: Source, K: Sink>(
                 WriterOutput::Level(run_level_writer(job.writer_dim, &mut srcs[0]))
             }));
         }
-        NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => {
-            unreachable!("rejected during planning")
-        }
     }
     Ok(None)
 }

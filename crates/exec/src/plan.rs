@@ -3,20 +3,22 @@
 //!
 //! Planning performs, in order:
 //!
-//! 1. **Support check** — every node must be an executable primitive.
-//! 2. **Port resolution** — each edge is attributed to one output port of
+//! 1. **Port resolution** — each edge is attributed to one output port of
 //!    its producer and one input port of its consumer. Explicitly wired
 //!    edges (built via `sam_core::build::GraphBuilder`) are validated;
 //!    unported edges are inferred from stream kinds where unambiguous.
-//! 3. **Topological ordering** — Kahn's algorithm; cycles are reported with
+//! 2. **Topological ordering** — Kahn's algorithm; cycles are reported with
 //!    the labels of the stuck nodes.
-//! 4. **Fan-out planning** — output ports feeding several consumers are
-//!    recorded so backends can insert stream forks (the `Fork` block that
-//!    hand-wired kernels place manually).
-//! 5. **Tensor binding** — reference streams are traced from the roots so
+//! 3. **Fan-out planning** — output ports feeding several consumers are
+//!    recorded so backends can insert stream forks (a `Fork` block on the
+//!    cycle backend).
+//! 4. **Tensor binding** — reference streams are traced from the roots so
 //!    every scanner/locator knows which storage level of which bound tensor
 //!    it reads, output dimensions are inferred per index variable, and the
 //!    output writers are collected.
+//! 5. **Stream estimates** — per-port stream lengths (to size channels)
+//!    and fiber nesting depths (to order the output levels by the loop
+//!    nest rather than by declaration).
 
 use crate::bind::Inputs;
 use crate::error::PlanError;
@@ -148,6 +150,7 @@ pub struct Plan {
     vals_writer: NodeId,
     output_name: String,
     output_shape: Vec<usize>,
+    output_mode_order: Vec<usize>,
 }
 
 impl Plan {
@@ -161,30 +164,13 @@ impl Plan {
         let n = graph.len();
         let nodes = graph.nodes();
 
-        // Phase 1: support check.
-        for (node, kind) in nodes.iter().enumerate() {
-            let unsupported = match kind {
-                NodeKind::Parallelizer => Some("Parallelizer"),
-                NodeKind::Serializer => Some("Serializer"),
-                NodeKind::BitvectorConverter => Some("BitvectorConverter"),
-                _ => None,
-            };
-            if let Some(name) = unsupported {
-                return Err(PlanError::UnsupportedNode {
-                    node,
-                    label: graph.node_label(NodeId(node)),
-                    kind: name.to_string(),
-                });
-            }
-        }
-
         // Skip edges are feedback wiring, not dataflow: they are excluded
         // from port binding, topological ordering (the whitelisted cycle)
-        // and fan-out planning, then validated separately in phase 4b.
+        // and fan-out planning, then validated separately in phase 3b.
         let data_edges: Vec<&Edge> = graph.edges().iter().filter(|e| e.kind != StreamKind::Skip).collect();
         let skip_edges: Vec<&Edge> = graph.edges().iter().filter(|e| e.kind == StreamKind::Skip).collect();
 
-        // Phase 2a: attribute each data edge to a producer output port.
+        // Phase 1a: attribute each data edge to a producer output port.
         let mut src_ports: Vec<usize> = Vec::with_capacity(data_edges.len());
         {
             // Track, per producer, which inferred ports were already handed out.
@@ -229,7 +215,7 @@ impl Plan {
             }
         }
 
-        // Phase 2b: bind each data edge to a consumer input port.
+        // Phase 1b: bind each data edge to a consumer input port.
         let mut node_inputs: Vec<Vec<Option<PortRef>>> =
             nodes.iter().map(|k| vec![None; k.input_ports().len()]).collect();
         let mut dst_slots: Vec<usize> = Vec::with_capacity(data_edges.len());
@@ -264,7 +250,7 @@ impl Plan {
             }
         }
 
-        // Phase 3: topological order (Kahn) over the data edges; the skip
+        // Phase 2: topological order (Kahn) over the data edges; the skip
         // feedback edges are the one legal kind of cycle.
         let mut indegree = vec![0usize; n];
         for e in &data_edges {
@@ -289,7 +275,7 @@ impl Plan {
             return Err(PlanError::Cycle { stuck });
         }
 
-        // Phase 4: fan-out per output port, and the channel topology the
+        // Phase 3: fan-out per output port, and the channel topology the
         // backends materialize (forks become one channel per consumer).
         let mut consumers: Vec<Vec<Vec<(NodeId, usize)>>> =
             nodes.iter().map(|k| vec![Vec::new(); k.output_ports().len()]).collect();
@@ -297,7 +283,7 @@ impl Plan {
             consumers[e.from.0][src_ports[idx]].push((e.to, dst_slots[idx]));
         }
 
-        // Phase 4b: validate the coordinate-skip feedback lanes. A lane must
+        // Phase 3b: validate the coordinate-skip feedback lanes. A lane must
         // run from an intersecter back to the level scanner that feeds one
         // of its coordinate operands, and that scanner's outputs must feed
         // only the intersecter — which is what lets the fast backend fuse
@@ -361,7 +347,7 @@ impl Plan {
             })
             .collect();
 
-        // Phase 5: tensor binding along reference streams.
+        // Phase 4: tensor binding along reference streams.
         let mut scan_levels = vec![0usize; n];
         let mut writer_dims = vec![0usize; n];
         let mut alu_ops: Vec<Option<AluOp>> = vec![None; n];
@@ -542,31 +528,43 @@ impl Plan {
                     }
                 }
                 NodeKind::Reducer { .. } | NodeKind::CoordDropper { .. } => {}
-                NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => {
-                    unreachable!("rejected in phase 1")
-                }
             }
         }
         let vals_writer = vals_writer.ok_or(PlanError::MissingValsWriter)?;
-        // Writers are visited in dependency order above; the output levels
-        // must follow graph declaration order (outermost first).
+        // Declaration order is the output's logical mode order.
         level_writers.sort_unstable();
         let output_shape = level_writers.iter().map(|w| writer_dims[w.0]).collect();
 
-        // Phase 6: stream-size estimates, walked in topological order. The
+        // Phase 5: stream-size estimates, walked in topological order. The
         // estimates are upper bounds at every node kind (scanners multiply
         // by the *longest* fiber of the level they read; merges take the
         // min/sum of their operands), so a channel sized from them never
         // spills while its consumer is attached. They exist to size bounded
         // channels, not to be exact.
+        //
+        // The same walk tracks each stream's fiber nesting depth (how many
+        // loop levels enclose it): a scanner adds one level, a repeater
+        // takes its coordinate input's nesting, a reducer of any order
+        // folds one level away, everything else passes its inputs' depth.
         const EST_CAP: u64 = 1 << 40;
         let mut stream_sizes: Vec<Vec<u64>> =
             nodes.iter().map(|k| vec![0u64; k.output_ports().len()]).collect();
+        let mut depths: Vec<Vec<usize>> = nodes.iter().map(|k| vec![0; k.output_ports().len()]).collect();
         for &id in &order {
             let ins: Vec<u64> = node_inputs[id.0]
                 .iter()
                 .map(|s| s.map(|src| stream_sizes[src.node.0][src.port]).unwrap_or(0))
                 .collect();
+            let in_depths: Vec<usize> =
+                node_inputs[id.0].iter().map(|s| s.map_or(0, |src| depths[src.node.0][src.port])).collect();
+            let deepest = in_depths.iter().copied().max().unwrap_or(0);
+            depths[id.0] = match &nodes[id.0] {
+                NodeKind::LevelScanner { .. } => vec![in_depths[0] + 1; 2],
+                NodeKind::Repeater { .. } => vec![in_depths[0]],
+                NodeKind::Reducer { .. } => in_depths.iter().map(|d| d.saturating_sub(1)).collect(),
+                NodeKind::CoordDropper { .. } => in_depths,
+                k => vec![deepest; k.output_ports().len()],
+            };
             let outs: Vec<u64> = match &nodes[id.0] {
                 NodeKind::Root { .. } => vec![2],
                 NodeKind::LevelScanner { tensor, .. } => {
@@ -601,12 +599,23 @@ impl Plan {
                 },
                 NodeKind::CoordDropper { .. } => vec![ins[0], ins[1]],
                 NodeKind::LevelWriter { .. } => Vec::new(),
-                NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => {
-                    unreachable!("rejected in phase 1")
-                }
             };
             stream_sizes[id.0] = outs;
         }
+
+        // The output levels nest like the streams feeding their writers
+        // (outermost first), which differs from declaration order when the
+        // loop order permutes the output's modes (`X(i,j)` iterated `j`
+        // outside `i`); the output is then stored in that mode order.
+        let writer_depth = |w: &NodeId| {
+            let src = node_inputs[w.0][0].expect("bound data port");
+            depths[src.node.0][src.port]
+        };
+        let mut nested = level_writers.clone();
+        nested.sort_by_key(writer_depth);
+        let output_mode_order =
+            nested.iter().map(|w| level_writers.iter().position(|d| d == w).expect("same writers")).collect();
+        let level_writers = nested;
 
         Ok(Plan {
             graph: graph.clone(),
@@ -624,6 +633,7 @@ impl Plan {
             vals_writer,
             output_name,
             output_shape,
+            output_mode_order,
         })
     }
 
@@ -756,7 +766,8 @@ impl Plan {
         self.const_vals[node.0].expect("validated constant")
     }
 
-    /// The level writers in output-level order (outermost first).
+    /// The level writers in output-level order (outermost first), which is
+    /// the stream nesting order.
     pub fn level_writers(&self) -> &[NodeId] {
         &self.level_writers
     }
@@ -771,8 +782,17 @@ impl Plan {
         &self.output_name
     }
 
-    /// Shape of the output tensor (one dimension per level writer).
+    /// Logical shape of the output tensor: one dimension per level writer,
+    /// in the writers' declaration order.
     pub fn output_shape(&self) -> &[usize] {
         &self.output_shape
+    }
+
+    /// The output's storage mode order: `output_mode_order()[level]` is the
+    /// logical mode (index into [`Plan::output_shape`]) written by
+    /// `level_writers()[level]`. The identity unless the loop order nests
+    /// the output's modes out of declaration order.
+    pub(crate) fn output_mode_order(&self) -> &[usize] {
+        &self.output_mode_order
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! ```
 //! use sam_core::graphs;
-//! use sam_core::kernels::spmm::SpmmDataflow;
+//! use sam_core::graphs::SpmmDataflow;
 //! use sam_exec::{ExecRequest, Inputs, TiledBackend};
 //! use sam_tensor::{synth, CooTensor, TensorFormat};
 //!
@@ -50,6 +50,7 @@ use crate::error::ExecError;
 use crate::plan::Plan;
 use crate::steal::StealPool;
 use crate::{Execution, Executor, FastBackend, Parallelism};
+use sam_core::graph::NodeKind;
 use sam_memory::{MemoryConfig, MemoryCounters};
 use sam_tensor::{CooTensor, Tensor};
 use sam_tiles::{KernelTiling, LlbModel, TileGrid, TileMerger, TupleSpace};
@@ -199,13 +200,17 @@ impl Executor for TiledBackend {
         let plan_cache = PlanCache::global();
         let mut empty_cache: HashMap<(usize, Vec<usize>), Arc<Tensor>> = HashMap::new();
 
-        // Offsets of the output writers' variables, refreshed per tuple.
-        let writer_vars: Vec<usize> = tiling
-            .output_vars
+        // Offsets of the stored output levels' variables (outermost first),
+        // refreshed per tuple.
+        let writer_vars: Vec<usize> = plan
+            .level_writers()
             .iter()
-            .map(|&v| {
+            .map(|w| {
+                let NodeKind::LevelWriter { index: v, .. } = &graph.nodes()[w.0] else {
+                    unreachable!("the plan's level writers are writer nodes")
+                };
                 tiling
-                    .var_index(v)
+                    .var_index(*v)
                     .ok_or(ExecError::TilingUnsupported { reason: format!("output index `{v}` untraced") })
             })
             .collect::<Result<_, _>>()?;
@@ -398,7 +403,8 @@ impl Executor for TiledBackend {
             (None, vec![scalar_sum])
         } else {
             llb.write_through(merger.len() as u64 * bytes_per_entry);
-            let (tensor, vals) = merger.finish(plan.output_name(), plan.output_shape().to_vec());
+            let (tensor, vals) =
+                merger.finish(plan.output_name(), plan.output_shape().to_vec(), plan.output_mode_order());
             (Some(tensor), vals)
         };
 
@@ -501,7 +507,7 @@ mod tests {
         let b = int_coo(&synth::random_matrix_nnz(64, 64, 60, 51));
         let c = int_coo(&synth::random_matrix_nnz(64, 64, 60, 52));
         let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
-        let graph = graphs::spmm(sam_core::kernels::spmm::SpmmDataflow::LinearCombination);
+        let graph = graphs::spmm(sam_core::graphs::SpmmDataflow::LinearCombination);
         // An LLB far smaller than the working set: executing needless tile
         // tuples now costs real refetch traffic, which skipping avoids.
         let config = MemoryConfig { tile: 8, llb_bytes: 256, ..MemoryConfig::default() };
@@ -527,7 +533,7 @@ mod tests {
         let b = int_coo(&synth::random_matrix_sparsity(48, 48, 0.7, 53));
         let c = int_coo(&synth::random_matrix_sparsity(48, 48, 0.7, 54));
         let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
-        let graph = graphs::spmm(sam_core::kernels::spmm::SpmmDataflow::LinearCombination);
+        let graph = graphs::spmm(sam_core::graphs::SpmmDataflow::LinearCombination);
         let tiny = MemoryConfig { tile: 8, llb_bytes: 256, ..MemoryConfig::default() };
         let big = MemoryConfig { tile: 8, ..MemoryConfig::default() };
         let run = |backend: &TiledBackend| {
@@ -548,7 +554,7 @@ mod tests {
         let b = int_coo(&synth::random_matrix_nnz(64, 64, 60, 51));
         let c = int_coo(&synth::random_matrix_nnz(64, 64, 60, 52));
         let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
-        let graph = graphs::spmm(sam_core::kernels::spmm::SpmmDataflow::LinearCombination);
+        let graph = graphs::spmm(sam_core::graphs::SpmmDataflow::LinearCombination);
         // A small LLB keeps the access sequence order-sensitive (real
         // evictions), so this also checks the canonical-order replay.
         let config = MemoryConfig { tile: 8, llb_bytes: 4096, ..MemoryConfig::default() };
@@ -572,7 +578,7 @@ mod tests {
         let b = int_coo(&synth::random_matrix_nnz(48, 48, 50, 61));
         let c = int_coo(&synth::random_matrix_nnz(48, 48, 50, 62));
         let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
-        let graph = graphs::spmm(sam_core::kernels::spmm::SpmmDataflow::LinearCombination);
+        let graph = graphs::spmm(sam_core::graphs::SpmmDataflow::LinearCombination);
         let plan = Plan::build(&graph, &inputs).unwrap();
         let profiled = |backend: &TiledBackend| {
             let sink = CountersSink::new();

@@ -6,7 +6,7 @@
 
 use sam_core::graph::SamGraph;
 use sam_core::graphs;
-use sam_core::kernels::spmm::SpmmDataflow;
+use sam_core::graphs::SpmmDataflow;
 use sam_exec::{CycleBackend, ExecRequest, FastBackend, Inputs};
 use sam_tensor::expr::{table1, Assignment};
 use sam_tensor::reference::Environment;
@@ -63,6 +63,15 @@ fn catalog() -> Vec<(SamGraph, Inputs, Assignment)> {
         ),
         (
             graphs::sddmm_coiteration(),
+            Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("C", &dense_c, TensorFormat::dense(2)).coo(
+                "D",
+                &dense_d,
+                TensorFormat::dense(2),
+            ),
+            table1::sddmm(),
+        ),
+        (
+            graphs::sddmm_locating(),
             Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("C", &dense_c, TensorFormat::dense(2)).coo(
                 "D",
                 &dense_d,

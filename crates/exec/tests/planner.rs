@@ -197,22 +197,6 @@ fn missing_vals_writer_is_reported() {
 }
 
 #[test]
-fn unsupported_node_is_reported_with_node_and_kind() {
-    let mut graph = SamGraph::new("unsupported");
-    graph.add_node(NodeKind::Root { tensor: "b".into() });
-    graph.add_node(NodeKind::Serializer);
-    match Plan::build(&graph, &Inputs::new()) {
-        Err(ref err @ PlanError::UnsupportedNode { node, ref kind, .. }) => {
-            assert_eq!(node, 1, "must name the offending node, not just the kind");
-            assert_eq!(kind, "Serializer");
-            let msg = err.to_string();
-            assert!(msg.contains("n1") && msg.contains("Serializer"), "unhelpful message: {msg}");
-        }
-        other => panic!("expected unsupported-node error, got {other:?}"),
-    }
-}
-
-#[test]
 fn skip_lanes_are_planned_for_skip_graphs() {
     let graph = graphs::vec_elem_mul_with_skip(true);
     let inputs = vec_inputs(64);
@@ -305,20 +289,6 @@ fn execute_convenience_runs_both_backends() {
     assert_eq!(cycle.output.unwrap(), fast.output.unwrap());
     assert_eq!(cycle.backend, "cycle");
     assert_eq!(fast.backend, "fast-serial");
-}
-
-/// The deprecated `execute` shim must keep producing exactly what the
-/// request door produces, so pre-door callers migrate on their own clock.
-#[test]
-#[allow(deprecated)]
-fn the_deprecated_execute_shim_matches_the_request_door() {
-    let graph = graphs::vec_elem_mul(true);
-    let inputs = vec_inputs(64);
-    let shim = sam_exec::execute(&graph, &inputs, &FastBackend::serial()).unwrap();
-    let door = ExecRequest::new(&graph, &inputs).executor(&FastBackend::serial()).run().unwrap();
-    assert_eq!(shim.output, door.output);
-    assert_eq!(shim.vals, door.vals);
-    assert_eq!(shim.backend, door.backend);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 
 use sam_core::graph::SamGraph;
 use sam_core::graphs;
-use sam_core::kernels::spmm::SpmmDataflow;
+use sam_core::graphs::SpmmDataflow;
 use sam_exec::{CountersSink, CycleBackend, ExecProfile, Executor, FastBackend, Inputs, Plan, TiledBackend};
 use sam_tensor::{synth, CooTensor, TensorFormat};
 

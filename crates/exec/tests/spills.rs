@@ -77,7 +77,7 @@ fn stream_estimates_drive_channel_depths() {
 #[test]
 fn planned_depths_hold_the_whole_catalog_spill_free() {
     use sam_core::graph::SamGraph;
-    use sam_core::kernels::spmm::SpmmDataflow;
+    use sam_core::graphs::SpmmDataflow;
 
     let vb = synth::random_vector(4_000, 1_800, 611);
     let vc = synth::random_vector(4_000, 1_700, 612);

@@ -9,7 +9,7 @@
 
 use sam_core::graph::SamGraph;
 use sam_core::graphs;
-use sam_core::kernels::spmm::SpmmDataflow;
+use sam_core::graphs::SpmmDataflow;
 use sam_exec::{ExecRequest, Executor, FastBackend, Inputs, Parallelism, TiledBackend};
 use sam_streams::chunked::ChunkConfig;
 use sam_tensor::{synth, CooTensor, TensorFormat};

@@ -11,7 +11,7 @@
 
 use sam_core::graph::SamGraph;
 use sam_core::graphs;
-use sam_core::kernels::spmm::SpmmDataflow;
+use sam_core::graphs::SpmmDataflow;
 use sam_exec::{ExecRequest, FastBackend, Inputs, TiledBackend};
 use sam_tensor::expr::{table1, Assignment};
 use sam_tensor::reference::Environment;

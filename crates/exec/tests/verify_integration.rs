@@ -5,7 +5,7 @@
 
 use sam_core::graph::{NodeId, NodeKind, SamGraph, StreamKind};
 use sam_core::graphs;
-use sam_core::kernels::spmm::SpmmDataflow;
+use sam_core::graphs::SpmmDataflow;
 use sam_exec::{ExecRequest, FastBackend, Inputs, Plan, PlanCache, PlanError, Planner};
 use sam_streams::chunked::ChunkConfig;
 use sam_tensor::{synth, TensorFormat};
@@ -20,10 +20,6 @@ fn vec_inputs() -> Inputs {
 /// Broken `(graph, inputs)` pairs covering structural and binding-level
 /// defect classes the planner rejects.
 fn broken_cases() -> Vec<(&'static str, SamGraph, Inputs)> {
-    // Structural: an unsupported primitive appended to a valid kernel.
-    let mut unsupported = graphs::vec_elem_mul(true);
-    unsupported.add_node(NodeKind::Parallelizer);
-
     // Structural: the values writer loses its input stream.
     let mut dangling = SamGraph::new("dangling");
     dangling.add_node(NodeKind::Root { tensor: "b".into() });
@@ -46,7 +42,6 @@ fn broken_cases() -> Vec<(&'static str, SamGraph, Inputs)> {
         .coo("c", &synth::random_vector(64, 22, 7), TensorFormat::sparse_vec());
 
     vec![
-        ("unsupported-node", unsupported, vec_inputs()),
         ("dangling-input", dangling, vec_inputs()),
         ("unknown-tensor", graphs::vec_elem_mul(true), missing),
         ("format-mismatch", graphs::vec_elem_mul(true), dense),

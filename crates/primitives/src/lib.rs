@@ -18,11 +18,8 @@
 //! Optimization blocks (Section 4):
 //!
 //! * [`Locator`] — iterate-locate intersection (Definition 4.1),
-//! * [`BitvectorScanner`], [`BitvectorConverter`], [`BitvectorIntersecter`],
-//!   [`BitvectorVecMul`], [`BitTreeVecMul`] — bitvector stream protocol
-//!   (Section 4.3),
-//! * [`Parallelizer`] and [`Serializer`] — coarse-grained parallelism
-//!   (Section 4.4).
+//! * [`BitvectorScanner`], [`BitvectorIntersecter`], [`BitvectorVecMul`],
+//!   [`BitTreeVecMul`] — bitvector stream protocol (Section 4.3).
 
 pub mod array;
 pub mod bitvector;
@@ -35,12 +32,10 @@ pub mod source;
 pub mod writer;
 
 pub use array::{Locator, ValArray};
-pub use bitvector::{
-    BitTreeVecMul, BitvectorConverter, BitvectorIntersecter, BitvectorScanner, BitvectorVecMul,
-};
+pub use bitvector::{BitTreeVecMul, BitvectorIntersecter, BitvectorScanner, BitvectorVecMul};
 pub use compute::{Alu, AluOp, ConstVal, EmptyFiberPolicy, Reducer};
 pub use dropper::CoordDropper;
-pub use merge::{Intersecter, Parallelizer, Serializer, Unioner};
+pub use merge::{Intersecter, Unioner};
 pub use repeat::Repeater;
 pub use scanner::LevelScanner;
 pub use source::root_stream;

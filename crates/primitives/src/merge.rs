@@ -1,5 +1,4 @@
-//! Stream merging: intersection, union and coarse-grained fork/join
-//! (paper Definitions 3.2 and 3.3, Section 4.4).
+//! Stream merging: intersection and union (paper Definitions 3.2 and 3.3).
 
 use sam_sim::payload::tok;
 use sam_sim::{Block, BlockStatus, ChannelId, Context, SimToken};
@@ -298,148 +297,6 @@ impl Block for Unioner {
     }
 }
 
-/// Forks a stream into `n` output streams, dealing out fibers round-robin
-/// (Section 4.4).
-#[derive(Debug)]
-pub struct Parallelizer {
-    name: String,
-    input: ChannelId,
-    outputs: Vec<ChannelId>,
-    current: usize,
-    done: bool,
-}
-
-impl Parallelizer {
-    /// Creates a parallelizer with one output per worker lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `outputs` is empty.
-    pub fn new(name: impl Into<String>, input: ChannelId, outputs: Vec<ChannelId>) -> Self {
-        assert!(!outputs.is_empty(), "parallelizer needs at least one output");
-        Parallelizer { name: name.into(), input, outputs, current: 0, done: false }
-    }
-}
-
-impl Block for Parallelizer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        if self.done {
-            return BlockStatus::Done;
-        }
-        let lane = self.outputs[self.current];
-        if !ctx.can_push(lane) {
-            return BlockStatus::Busy;
-        }
-        let Some(t) = ctx.peek(self.input).cloned() else {
-            return BlockStatus::Busy;
-        };
-        match t {
-            Token::Done => {
-                ctx.pop(self.input);
-                for &out in &self.outputs {
-                    ctx.push(out, tok::done());
-                }
-                self.done = true;
-                BlockStatus::Done
-            }
-            Token::Stop(_) => {
-                ctx.pop(self.input);
-                ctx.push(lane, t);
-                self.current = (self.current + 1) % self.outputs.len();
-                BlockStatus::Busy
-            }
-            _ => {
-                ctx.pop(self.input);
-                ctx.push(lane, t);
-                BlockStatus::Busy
-            }
-        }
-    }
-}
-
-/// Joins `n` parallel streams back into one by concatenating their fibers in
-/// round-robin order (Section 4.4).
-#[derive(Debug)]
-pub struct Serializer {
-    name: String,
-    inputs: Vec<ChannelId>,
-    output: ChannelId,
-    current: usize,
-    finished: Vec<bool>,
-    done: bool,
-}
-
-impl Serializer {
-    /// Creates a serializer joining the given lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `inputs` is empty.
-    pub fn new(name: impl Into<String>, inputs: Vec<ChannelId>, output: ChannelId) -> Self {
-        assert!(!inputs.is_empty(), "serializer needs at least one input");
-        let lanes = inputs.len();
-        Serializer {
-            name: name.into(),
-            inputs,
-            output,
-            current: 0,
-            finished: vec![false; lanes],
-            done: false,
-        }
-    }
-}
-
-impl Block for Serializer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        if self.done {
-            return BlockStatus::Done;
-        }
-        if !ctx.can_push(self.output) {
-            return BlockStatus::Busy;
-        }
-        if self.finished.iter().all(|f| *f) {
-            ctx.push(self.output, tok::done());
-            self.done = true;
-            return BlockStatus::Done;
-        }
-        if self.finished[self.current] {
-            self.current = (self.current + 1) % self.inputs.len();
-            return BlockStatus::Busy;
-        }
-        let lane = self.inputs[self.current];
-        let Some(t) = ctx.peek(lane).cloned() else {
-            return BlockStatus::Busy;
-        };
-        match t {
-            Token::Done => {
-                ctx.pop(lane);
-                self.finished[self.current] = true;
-                self.current = (self.current + 1) % self.inputs.len();
-                BlockStatus::Busy
-            }
-            Token::Stop(_) => {
-                ctx.pop(lane);
-                ctx.push(self.output, t);
-                self.current = (self.current + 1) % self.inputs.len();
-                BlockStatus::Busy
-            }
-            _ => {
-                ctx.pop(lane);
-                ctx.push(self.output, t);
-                BlockStatus::Busy
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,35 +419,5 @@ mod tests {
         sim.preload(in_ref[1], ref_stream(&[0, 1]));
         sim.run(1000).unwrap();
         assert_eq!(data_crds(sim.history(oc)), vec![0, 1, 5, 6]);
-    }
-
-    #[test]
-    fn parallelize_then_serialize_roundtrip() {
-        let mut sim = Simulator::new();
-        let input = sim.add_channel("in");
-        let l0 = sim.add_channel("lane0");
-        let l1 = sim.add_channel("lane1");
-        let out = sim.add_channel("out");
-        sim.record(out);
-        sim.add_block(Box::new(Parallelizer::new("par", input, vec![l0, l1])));
-        sim.add_block(Box::new(Serializer::new("ser", vec![l0, l1], out)));
-        sim.preload(
-            input,
-            vec![
-                tok::crd(1),
-                tok::stop(0),
-                tok::crd(2),
-                tok::crd(3),
-                tok::stop(0),
-                tok::crd(4),
-                tok::stop(0),
-                tok::done(),
-            ],
-        );
-        sim.run(1000).unwrap();
-        let out_crds = data_crds(sim.history(out));
-        assert_eq!(out_crds, vec![1, 2, 3, 4]);
-        assert_eq!(sim.history(out).iter().filter(|t| t.is_stop()).count(), 3);
-        assert!(sim.history(out).last().unwrap().is_done());
     }
 }

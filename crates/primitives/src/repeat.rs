@@ -14,6 +14,13 @@ use sam_streams::Token;
 /// are redundant with the coordinate stream's higher-level stops and are
 /// absorbed.
 ///
+/// Every innermost coordinate fiber consumes one reference, an empty one
+/// included, except a bare stop that only closes outer levels (an outer
+/// fiber with no inner fibers); the reference stream carries a stop there
+/// itself. The block tells the two apart by matching each coordinate stop
+/// above level 0 with the reference stop it mirrors, so a reference read
+/// ahead past that stop is kept for the next fiber.
+///
 /// ```text
 ///  in_crd:  D, S0, 9, 8, 6, 2, 0      (the vector b in Figure 6)
 ///  in_ref:  D, 0                       (the scalar c's root reference)
@@ -26,6 +33,9 @@ pub struct Repeater {
     in_ref: ChannelId,
     out_ref: ChannelId,
     current: Option<SimToken>,
+    /// Reference-stream stops absorbed minus coordinate stops above level 0
+    /// consumed: positive while the reference stream runs ahead.
+    stop_balance: i64,
     in_ref_done: bool,
     done: bool,
 }
@@ -39,6 +49,7 @@ impl Repeater {
             in_ref,
             out_ref,
             current: None,
+            stop_balance: 0,
             in_ref_done: false,
             done: false,
         }
@@ -68,6 +79,7 @@ impl Block for Repeater {
                     Token::Stop(_) => {
                         // Redundant with the coordinate stream's hierarchy.
                         ctx.pop(self.in_ref);
+                        self.stop_balance += 1;
                     }
                     Token::Done => {
                         ctx.pop(self.in_ref);
@@ -97,10 +109,23 @@ impl Block for Repeater {
                 BlockStatus::Busy
             }
             Token::Stop(n) => {
+                // A stop matching an already absorbed reference stop is bare:
+                // any reference held belongs to the next fiber. Otherwise
+                // the fiber consumes its reference, so wait until it (or the
+                // reference stream's own stop) is visible.
+                let bare = n > 0 && self.stop_balance > 0;
+                if !bare && self.current.is_none() && !self.in_ref_done {
+                    return BlockStatus::Busy;
+                }
                 ctx.pop(self.in_crd);
                 ctx.push(self.out_ref, tok::stop(n));
-                // The next fiber repeats the next reference.
-                self.current = None;
+                if n > 0 {
+                    self.stop_balance -= 1;
+                }
+                if !bare {
+                    // The next fiber repeats the next reference.
+                    self.current = None;
+                }
                 BlockStatus::Busy
             }
             Token::Done => {
@@ -195,6 +220,60 @@ mod tests {
         sim.preload(rf, vec![tok::rf(5), tok::rf(6), tok::rf(7), tok::stop(0), tok::done()]);
         sim.run(100).unwrap();
         assert_eq!(to_paper(sim.history(out)), "D, S1, 7, S0, S0, 5");
+    }
+
+    #[test]
+    fn bare_outer_stop_keeps_the_next_fibers_reference() {
+        // The first outer fiber has no inner fibers: its bare S1 mirrors the
+        // reference stream's S0, so the reference read ahead after that S0
+        // still feeds the next fiber.
+        let mut sim = Simulator::new();
+        let crd = sim.add_channel("crd");
+        let rf = sim.add_channel("ref");
+        let out = sim.add_channel("out");
+        sim.record(out);
+        sim.add_block(Box::new(Repeater::new("rep", crd, rf, out)));
+        sim.preload(rf, vec![tok::stop(0), tok::rf(1), tok::stop(1), tok::done()]);
+        // The coordinates arrive late, after the reference was read ahead.
+        let delay = sim.add_channel("delay");
+        sim.add_block(Box::new(Delay { input: delay, output: crd, ticks: 4 }));
+        sim.preload(delay, vec![tok::stop(1), tok::crd(0), tok::crd(1), tok::stop(2), tok::done()]);
+        sim.run(100).unwrap();
+        assert_eq!(to_paper(sim.history(out)), "D, S2, 1, 1, S1");
+    }
+
+    /// Forwards its input after idling `ticks` cycles.
+    #[derive(Debug)]
+    struct Delay {
+        input: ChannelId,
+        output: ChannelId,
+        ticks: u32,
+    }
+
+    impl Block for Delay {
+        fn name(&self) -> &str {
+            "delay"
+        }
+
+        fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
+            if self.ticks > 0 {
+                self.ticks -= 1;
+                return BlockStatus::Busy;
+            }
+            if !ctx.can_push(self.output) {
+                return BlockStatus::Busy;
+            }
+            let Some(t) = ctx.peek(self.input).cloned() else {
+                return BlockStatus::Busy;
+            };
+            ctx.pop(self.input);
+            ctx.push(self.output, t);
+            if t.is_done() {
+                BlockStatus::Done
+            } else {
+                BlockStatus::Busy
+            }
+        }
     }
 
     #[test]

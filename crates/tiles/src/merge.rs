@@ -14,7 +14,7 @@
 //! coordinates, and every deeper level holds one fiber per parent entry.
 
 use sam_tensor::level::{CompressedLevel, Level};
-use sam_tensor::{Tensor, TensorFormat};
+use sam_tensor::{LevelFormat, Tensor, TensorFormat};
 use std::collections::BTreeMap;
 
 use crate::extract::for_each_stored;
@@ -32,9 +32,9 @@ impl TileMerger {
     }
 
     /// Adds one tile's output. `offsets` holds the global origin of the
-    /// tile's window, one per output level (the tile's storage order equals
-    /// its logical order — executor outputs are CSF with identity mode
-    /// order). Stored entries are visited including explicit zeros.
+    /// tile's window, one per *stored* output level (outermost first), so
+    /// keys accumulate in storage order. Stored entries are visited
+    /// including explicit zeros.
     pub fn absorb(&mut self, tile_output: &Tensor, offsets: &[u32]) {
         assert_eq!(offsets.len(), tile_output.order(), "one offset per output level");
         for_each_stored(tile_output, |point, v| {
@@ -53,16 +53,18 @@ impl TileMerger {
         self.acc.is_empty()
     }
 
-    /// Rebuilds the merged output as a canonical CSF tensor of `shape`
-    /// (plus the flat values array, in storage order) — the same form the
-    /// untiled executor assembles, so equal runs compare bit-identical.
-    pub fn finish(self, name: &str, shape: Vec<usize>) -> (Tensor, Vec<f64>) {
+    /// Rebuilds the merged output as a canonical all-compressed tensor of
+    /// logical `shape` stored in `mode_order` (`mode_order[level]` is the
+    /// logical mode at that level), plus the flat values array in storage
+    /// order — the same form the untiled executor assembles, so equal runs
+    /// compare bit-identical.
+    pub fn finish(self, name: &str, shape: Vec<usize>, mode_order: &[usize]) -> (Tensor, Vec<f64>) {
         let order = shape.len();
         assert!(order > 0, "merged outputs need at least one level");
         let keys: Vec<&Vec<u32>> = self.acc.keys().collect();
         let mut levels: Vec<Level> = Vec::with_capacity(order);
         for d in 0..order {
-            let mut builder = CompressedLevel::builder(shape[d]);
+            let mut builder = CompressedLevel::builder(shape[mode_order[d]]);
             // Entries at level d are the distinct prefixes of length d+1;
             // fibers close when the length-d prefix changes.
             let mut prev: Option<&[u32]> = None;
@@ -87,7 +89,8 @@ impl TileMerger {
             levels.push(Level::Compressed(builder.finish()));
         }
         let vals: Vec<f64> = self.acc.values().copied().collect();
-        let tensor = Tensor::from_parts(name, shape.clone(), TensorFormat::csf(order), levels, vals.clone());
+        let format = TensorFormat::with_mode_order(vec![LevelFormat::Compressed; order], mode_order.to_vec());
+        let tensor = Tensor::from_parts(name, shape, format, levels, vals.clone());
         (tensor, vals)
     }
 }
@@ -108,7 +111,7 @@ mod tests {
         m.absorb(&tile("X", vec![2, 2], vec![(vec![0, 1], 1.0), (vec![1, 0], 2.0)]), &[0, 0]);
         m.absorb(&tile("X", vec![2, 2], vec![(vec![0, 0], 3.0)]), &[2, 2]);
         assert_eq!(m.len(), 3);
-        let (out, vals) = m.finish("X", vec![4, 4]);
+        let (out, vals) = m.finish("X", vec![4, 4], &[0, 1]);
         assert_eq!(vals, vec![1.0, 2.0, 3.0]);
         assert_eq!(out.get(&[0, 1]), 1.0);
         assert_eq!(out.get(&[1, 0]), 2.0);
@@ -126,7 +129,7 @@ mod tests {
         let mut m = TileMerger::new();
         m.absorb(&tile("x", vec![3], vec![(vec![1], 2.0)]), &[0]);
         m.absorb(&tile("x", vec![3], vec![(vec![1], 3.0), (vec![2], -3.0)]), &[0]);
-        let (out, vals) = m.finish("x", vec![3]);
+        let (out, vals) = m.finish("x", vec![3], &[0]);
         assert_eq!(vals, vec![5.0, -3.0]);
         assert_eq!(out.get(&[1]), 5.0);
         assert_eq!(out.get(&[2]), -3.0);
@@ -138,7 +141,7 @@ mod tests {
         m.absorb(&tile("x", vec![2], vec![(vec![0], 2.0)]), &[0]);
         m.absorb(&tile("x", vec![2], vec![(vec![0], -2.0)]), &[0]);
         assert_eq!(m.len(), 1);
-        let (out, vals) = m.finish("x", vec![2]);
+        let (out, vals) = m.finish("x", vec![2], &[0]);
         assert_eq!(vals, vec![0.0]);
         let Level::Compressed(l0) = out.level(0) else { panic!("compressed") };
         assert_eq!(l0.crd, vec![0], "a zero-valued sum keeps its coordinate");
@@ -146,7 +149,7 @@ mod tests {
 
     #[test]
     fn empty_merge_builds_an_empty_fiber() {
-        let (out, vals) = TileMerger::new().finish("x", vec![5]);
+        let (out, vals) = TileMerger::new().finish("x", vec![5], &[0]);
         assert!(vals.is_empty());
         let Level::Compressed(l0) = out.level(0) else { panic!("compressed") };
         assert_eq!(l0.seg, vec![0, 0]);

@@ -109,7 +109,7 @@ pub struct KernelTiling {
     pub vars: Vec<TiledVar>,
     /// One entry per bound tensor the graph reads.
     pub tensors: Vec<TensorTiling>,
-    /// The output level writers' index variables, outermost first.
+    /// The output level writers' index variables.
     pub output_vars: Vec<char>,
     /// Tensors whose empty tile makes the whole tile tuple skippable.
     pub skip_tensors: BTreeSet<String>,
@@ -358,11 +358,6 @@ impl KernelTiling {
                         writers.push((id, *index));
                     }
                 }
-                NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => {
-                    return Err(TilingError::Unsupported {
-                        reason: format!("node `{}` is not executable", nodes[id].label()),
-                    });
-                }
             }
         }
 
@@ -528,7 +523,7 @@ impl TupleSpace {
 mod tests {
     use super::*;
     use sam_core::graphs;
-    use sam_core::kernels::spmm::SpmmDataflow;
+    use sam_core::graphs::SpmmDataflow;
     use sam_tensor::{synth, TensorFormat};
 
     fn bind(pairs: Vec<(&str, Tensor)>) -> BTreeMap<String, Tensor> {

@@ -229,31 +229,10 @@ impl<'g, 'b> Analyzer<'g, 'b> {
         self.graph.node_label(NodeId(node))
     }
 
-    /// Phases 1–4 of the planner, diagnostically: support check, port
-    /// resolution, cycle detection, fan-out, skip-lane validation.
+    /// The planner's structural phases, diagnostically: port resolution,
+    /// cycle detection, fan-out, skip-lane validation.
     fn structural(&mut self) {
         let nodes = self.graph.nodes();
-
-        // Support check: primitives the IR carries but no backend lowers.
-        for (node, kind) in nodes.iter().enumerate() {
-            let name = match kind {
-                NodeKind::Parallelizer => Some("Parallelizer"),
-                NodeKind::Serializer => Some("Serializer"),
-                NodeKind::BitvectorConverter => Some("BitvectorConverter"),
-                _ => None,
-            };
-            if let Some(name) = name {
-                self.poisoned[node] = true;
-                self.diag(
-                    Rule::NotYetLowerable,
-                    node,
-                    format!(
-                        "`{name}` is not yet lowerable: no execution backend implements it \
-                         (see ROADMAP \"IR coverage\")"
-                    ),
-                );
-            }
-        }
 
         let data_edges: Vec<&Edge> =
             self.graph.edges().iter().filter(|e| e.kind != StreamKind::Skip).collect();
@@ -463,7 +442,7 @@ impl<'g, 'b> Analyzer<'g, 'b> {
             self.order = queue;
         }
 
-        // Skip-lane validation (planner phase 4b, same reason strings).
+        // Skip-lane validation (planner phase 3b, same reason strings).
         for e in &skip_edges {
             if let Err(reason) = self.check_skip_lane(e) {
                 self.diag(Rule::IllegalSkipEdge, e.from.0, format!("skip edge `{}`: {reason}", e.label));
@@ -536,7 +515,7 @@ impl<'g, 'b> Analyzer<'g, 'b> {
         }
     }
 
-    /// Stream-type inference in topological order (planner phase 5 as a
+    /// Stream-type inference in topological order (planner phase 4 as a
     /// typing pass), plus the writer-set rules, which need no order.
     fn infer_types(&mut self) {
         let nodes = self.graph.nodes().to_vec();
@@ -720,11 +699,6 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                                 self.label(id)
                             ),
                         );
-                    }
-                }
-                NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => {
-                    for t in &mut self.types[id] {
-                        *t = StreamType::Tainted;
                     }
                 }
             }

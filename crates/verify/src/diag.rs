@@ -33,9 +33,6 @@ impl fmt::Display for Severity {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Rule {
-    /// A primitive no backend can lower yet (`Parallelizer`, `Serializer`,
-    /// `BitvectorConverter`).
-    NotYetLowerable,
     /// An edge names an out-of-range port or one that cannot carry its
     /// stream kind.
     PortKindMismatch,
@@ -94,7 +91,6 @@ impl Rule {
     /// The stable diagnostic id (`error[rank-mismatch]: ...`).
     pub fn id(&self) -> &'static str {
         match self {
-            Rule::NotYetLowerable => "not-yet-lowerable",
             Rule::PortKindMismatch => "port-kind-mismatch",
             Rule::AmbiguousPort => "ambiguous-port",
             Rule::ExtraInput => "extra-input",

@@ -78,7 +78,6 @@ mod tests {
     #[test]
     fn rule_ids_are_stable_and_unique() {
         let rules = [
-            Rule::NotYetLowerable,
             Rule::PortKindMismatch,
             Rule::AmbiguousPort,
             Rule::ExtraInput,

@@ -53,19 +53,10 @@ pub fn run(graph: &SamGraph, analysis: &Analysis, report: &mut Report) {
         }
     }
 
-    for i in 0..n {
-        if !live[i] {
-            continue;
-        }
+    for i in (0..n).filter(|&i| live[i]) {
         for (port, conns) in analysis.consumers_of(i).iter().enumerate() {
             // A live node discarding a computed value stream.
-            if conns.is_empty()
-                && analysis.stream_type(i, port) == Some(&StreamType::Val)
-                && !matches!(
-                    nodes[i],
-                    NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter
-                )
-            {
+            if conns.is_empty() && analysis.stream_type(i, port) == Some(&StreamType::Val) {
                 report.push(
                     Diagnostic::new(
                         Rule::UnusedOutput,

@@ -4,7 +4,7 @@
 use sam_core::build::GraphBuilder;
 use sam_core::graph::{NodeId, NodeKind, SamGraph, StreamKind};
 use sam_core::graphs;
-use sam_core::kernels::spmm::SpmmDataflow;
+use sam_core::graphs::SpmmDataflow;
 use sam_tensor::{Tensor, TensorFormat};
 use sam_verify::{deadlock, verify, verify_bound, Bindings, ChannelBudget, Rule, Severity};
 
@@ -65,13 +65,6 @@ fn base_fixture_is_clean_structurally_and_bound() {
     let bindings = Bindings::new().bind("b", &b);
     let report = verify_bound(&g, &bindings);
     assert!(report.diagnostics.is_empty(), "{}", report.render());
-}
-
-#[test]
-fn not_yet_lowerable_fires_once() {
-    let mut g = base();
-    g.add_node(NodeKind::Parallelizer);
-    fires_once(&g, Rule::NotYetLowerable);
 }
 
 #[test]
@@ -366,6 +359,7 @@ fn catalog_sweep_is_error_free_and_warning_free_except_documented() {
         ("plus3", graphs::plus3()),
         ("sddmm_coiteration", graphs::sddmm_coiteration()),
         ("sddmm_with_skip", graphs::sddmm_with_skip()),
+        ("sddmm_locating", graphs::sddmm_locating()),
     ];
     for (name, g) in cases {
         let report = verify(&g);

@@ -50,6 +50,7 @@ fn main() {
             run.elapsed,
             if ok { "matches dense reference" } else { "MISMATCH" }
         );
+        assert!(ok, "{} backend diverged from the dense reference", run.backend);
     }
 
     println!("--- DOT (executable graph) ---");

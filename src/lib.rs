@@ -8,8 +8,7 @@
 //! * [`tensor`] — fibertrees, formats, synthetic data and the dense oracle,
 //! * [`primitives`] — the SAM dataflow blocks,
 //! * [`sim`] — the cycle-approximate simulator,
-//! * [`core`] — the SAM graph IR, graph builder, kernel graph catalog,
-//!   wiring helpers and hand-scheduled kernel library,
+//! * [`core`] — the SAM graph IR, graph builder and kernel graph catalog,
 //! * [`trace`] — the observability layer (trace sinks, per-node/per-channel
 //!   profiles, Chrome trace export),
 //! * [`exec`] — the graph-driven execution engine (the `ExecRequest` entry

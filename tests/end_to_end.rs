@@ -4,36 +4,58 @@
 //! catalog is executed on both `sam-exec` backends with results
 //! cross-checked against each other and the dense reference.
 use custard::{lower, lower_exec, parse, ConcreteIndexNotation, Formats, Schedule};
-use sam::core::graphs;
-use sam::core::kernels::spmm::{spmm_order, SpmmDataflow};
-use sam::core::kernels::spmv::spmv;
-use sam::core::kernels::vecmul::{vec_elem_mul, VecFormat};
-use sam::exec::{CycleBackend, ExecRequest, Executor, FastBackend, Inputs};
-use sam::tensor::expr::table1;
+use sam::core::graphs::{self, SpmmDataflow};
+use sam::exec::{BackendSpec, CycleBackend, ExecRequest, Executor, FastBackend, Inputs};
 use sam::tensor::reference::Environment;
-use sam::tensor::{synth, Tensor, TensorFormat};
+use sam::tensor::{synth, CooTensor, Tensor, TensorFormat};
+use sam_bench::{spmm_order, vec_elem_mul, VecFormat};
+
+/// The dense reference of `text` over the named COO operands.
+fn reference(text: &str, operands: &[(&str, &CooTensor)]) -> sam::tensor::DenseTensor {
+    let assignment = parse(text).unwrap();
+    let mut env = Environment::new();
+    for (name, coo) in operands {
+        env.insert(name, Tensor::from_coo(name, coo, TensorFormat::dense(coo.order())).to_dense());
+    }
+    env.bind_dims(&assignment, &[]);
+    env.evaluate(&assignment).unwrap()
+}
 
 #[test]
 fn spmv_end_to_end_matches_oracle() {
     let b = synth::random_matrix_sparsity(50, 35, 0.92, 100);
     let c = synth::random_vector(35, 35, 101);
-    let result = spmv(&b, &c);
-    let mut env = Environment::new();
-    env.insert("B", Tensor::from_coo("B", &b, TensorFormat::dense(2)).to_dense());
-    env.insert("c", Tensor::from_coo("c", &c, TensorFormat::dense_vec()).to_dense());
-    env.bind_dims(&table1::spmv(), &[]);
-    let expect = env.evaluate(&table1::spmv()).unwrap();
-    assert!(result.output.to_dense().approx_eq(&expect));
+    let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("c", &c, TensorFormat::dense_vec());
+    let run = ExecRequest::new(&graphs::spmv(), &inputs).backend(BackendSpec::Cycle).run().unwrap();
+    let expect = reference("x(i) = B(i,j) * c(j)", &[("B", &b), ("c", &c)]);
+    assert!(run.output.unwrap().to_dense().approx_eq(&expect));
 }
 
+/// All six loop orders of SpM*SpM compile, run on fast-serial and cycle,
+/// and agree with the dense reference — including the three that nest `j`
+/// outside `i` and so store the output column-major.
 #[test]
 fn every_spmm_order_is_functionally_identical() {
     let b = synth::random_matrix_sparsity(30, 20, 0.9, 102);
     let c = synth::random_matrix_sparsity(20, 25, 0.9, 103);
-    let reference = spmm_order(&b, &c, "ikj").output.to_dense();
-    for order in ["ijk", "jik", "jki", "kij", "kji"] {
-        let out = spmm_order(&b, &c, order).output.to_dense();
-        assert!(out.approx_eq(&reference), "order {order} diverged");
+    let text = "X(i,j) = B(i,k) * C(k,j)";
+    let expect = reference(text, &[("B", &b), ("C", &c)]);
+    for order in ["ijk", "jik", "ikj", "jki", "kij", "kji"] {
+        let cin =
+            ConcreteIndexNotation::new(parse(text).unwrap(), &Schedule::new().reorder(order), Formats::new());
+        let kernel = lower_exec(&cin).unwrap();
+        let mut inputs = Inputs::new();
+        for (name, fmt) in &kernel.formats {
+            inputs = inputs.coo(name, if name == "B" { &b } else { &c }, fmt.clone());
+        }
+        for spec in [BackendSpec::FastSerial, BackendSpec::Cycle] {
+            let run = ExecRequest::new(&kernel.graph, &inputs)
+                .backend(spec)
+                .run()
+                .unwrap_or_else(|e| panic!("order {order} on {spec:?}: {e}"));
+            let out = run.output.expect("tensor output");
+            assert!(out.to_dense().approx_eq(&expect), "order {order} on {spec:?} diverged");
+        }
     }
 }
 
@@ -41,20 +63,19 @@ fn every_spmm_order_is_functionally_identical() {
 fn dataflow_order_changes_cycles_but_not_results() {
     let b = synth::random_matrix_sparsity(80, 40, 0.95, 104);
     let c = synth::random_matrix_sparsity(40, 80, 0.95, 105);
-    let inner = spmm_order(&b, &c, "ijk");
-    let rows = spmm_order(&b, &c, "ikj");
-    assert!(rows.cycles < inner.cycles, "Gustavson should win on sparse inputs");
-    assert!(inner.output.approx_eq(&rows.output));
-    let _ = SpmmDataflow::from_order("ikj");
+    let (inner, inner_cycles) = spmm_order(&b, &c, "ijk");
+    let (rows, rows_cycles) = spmm_order(&b, &c, "ikj");
+    assert!(rows_cycles < inner_cycles, "Gustavson should win on sparse inputs");
+    assert!(inner.approx_eq(&rows));
 }
 
 #[test]
 fn figure13_formats_agree_on_runs_and_blocks_data() {
     let dim = 1024;
     for (b, c) in [synth::runs_vector_pair(dim, 200, 8, 106), synth::blocks_vector_pair(dim, 200, 8, 107)] {
-        let reference = vec_elem_mul(&b, &c, dim, VecFormat::Crd).output.to_dense();
+        let reference = vec_elem_mul(&b, &c, dim, VecFormat::Crd).0.to_dense();
         for fmt in VecFormat::figure13_set() {
-            let out = vec_elem_mul(&b, &c, dim, fmt).output.to_dense();
+            let out = vec_elem_mul(&b, &c, dim, fmt).0.to_dense();
             assert!(out.approx_eq(&reference), "format {} diverged", fmt.label());
         }
     }
@@ -108,6 +129,15 @@ fn every_kernel_graph_agrees_across_backends_and_reference() {
             ),
             "X(i,j) = B(i,j) * C(i,k) * D(j,k)",
         ),
+        (
+            graphs::sddmm_locating(),
+            Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &dense_c, TensorFormat::dense(2)).coo(
+                "D",
+                &dense_d,
+                TensorFormat::dense(2),
+            ),
+            "X(i,j) = B(i,j) * C(i,k) * D(j,k)",
+        ),
     ];
 
     for (graph, inputs, text) in cases {
@@ -141,12 +171,13 @@ fn every_kernel_graph_agrees_across_backends_and_reference() {
 }
 
 /// The custard pipeline end-to-end: compile SpMV from notation, execute on
-/// both backends, compare with the hand-scheduled kernel's result.
+/// both backends, compare with the hand-written catalog graph's result.
 #[test]
 fn compiled_spmv_agrees_with_hand_kernel() {
     let b = synth::random_matrix_sparsity(40, 30, 0.92, 210);
     let c = synth::random_vector(30, 30, 211);
-    let hand = spmv(&b, &c);
+    let catalog = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("c", &c, TensorFormat::dense_vec());
+    let hand = ExecRequest::new(&graphs::spmv(), &catalog).run().unwrap().output.unwrap();
 
     let assignment = parse("x(i) = B(i,j) * c(j)").unwrap();
     let cin = ConcreteIndexNotation::new(
@@ -163,8 +194,8 @@ fn compiled_spmv_agrees_with_hand_kernel() {
     for backend in [&CycleBackend::default() as &dyn Executor, &FastBackend::default()] {
         let run = ExecRequest::new(&kernel.graph, &inputs).executor(backend).run().unwrap();
         assert!(
-            run.output.unwrap().to_dense().approx_eq(&hand.output.to_dense()),
-            "{} backend disagreed with the hand-scheduled kernel",
+            run.output.unwrap().to_dense().approx_eq(&hand.to_dense()),
+            "{} backend disagreed with the catalog graph",
             backend.name()
         );
     }
